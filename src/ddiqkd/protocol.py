@@ -9,6 +9,14 @@ sender's output (so channel loss never touches her bright resends), measures
 in a random basis and forges a pulse whose detector-port energies drive the
 configured click model.
 
+Outcome tensor: every slot falls in one cell of (sender phase, Eve branch,
+Bob phase, click pattern), 4 x 4 x 4 x 16 cells; the Eve branch is the phase
+Eve measured, and the sender phase in honest runs.  A session compiles once
+into the probability of each cell.  Every statistic sums a per-cell
+indicator (single, double, histogram column, sifted, error, Eve match),
+built at import from ``KEY_CORRECTION``, over the cell probabilities (exact
+statistics) or over cell counts (sampled ones).
+
 Key mapping: Bob's bit is the phase-index bit of his setting (0 for the
 first phase of either basis, 1 for the second).  The sender's bit is her
 phase-index bit XOR a correction looked up from the announced Bell outcome
@@ -18,18 +26,23 @@ table making matched-basis honest trials agree always.  Eve, who hears both
 the announced outcome and the sifted basis, applies the same correction to
 her measurement result.
 
-Randomness: all of a session's draws come from the seed in one fixed order,
-so slot ``i`` consumes a fixed block of the stream.  Identical configs (seed
-included) give bit-identical trial streams, and chunked or parallel
-evaluation of the per-slot map cannot change the result.
+Randomness: a stats-only run draws its cell counts as one multinomial
+sample of ``n_slots`` over the cell probabilities, exactly the law of
+``n_slots`` independent slots, at a cost that does not grow with
+``n_slots``.  A run that collects per-slot trials is an independent physical
+sampler: it draws settings, Eve's measurement, loss, landing and clicks from
+the port-probability tables, never from the tensor.  It draws in blocks of
+``SLOT_BLOCK`` slots, block ``j`` from a generator keyed by ``(seed, j)``, so
+the first ``k`` trials of an ``n``-slot run are the ``k``-slot run.  The two
+samplers use the seed differently: a stats-only run and a trials run with
+the same seed report different, equally valid samples.  Identical configs
+(seed included) give identical results.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -178,6 +191,44 @@ def derive_key_correction() -> dict[tuple[str, BellOutcome], int]:
     return table
 
 
+# --------------------------------------------------------------------------
+# the cells of the outcome tensor
+
+#: Cells of the outcome tensor: (sender phase, Eve branch, Bob phase, click
+#: pattern), flattened in that order.  Bit ``k`` of a pattern is port D(k+1).
+TENSOR_SHAPE = (4, 4, 4, 16)
+
+#: Fired ports of each click pattern, (pattern, port).
+_PATTERN_PORTS = (np.arange(16)[:, None] >> np.arange(4)) & 1
+
+_OUTCOMES = tuple(OUTCOME_BY_DETECTOR) + (BellOutcome.NO_CLICK, BellOutcome.DOUBLE_CLICK)
+
+
+def _cell_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-cell outcome index (into ``_OUTCOMES``), sifted flag, (alice, bob,
+    eve) key bits, and the indicator rows every statistic sums over."""
+    t, e, b, pattern = np.indices(TENSOR_SHAPE).reshape(4, -1)
+    fired = _PATTERN_PORTS[pattern]
+    n_fired = fired.sum(axis=1)
+    port = fired.argmax(axis=1)
+    corr = np.array(
+        [[KEY_CORRECTION[(basis, o)] for o in OUTCOME_BY_DETECTOR] for basis in BASES]
+    )
+    single = n_fired == 1
+    sifted = single & (t % 2 == b % 2)
+    bits = np.stack([(t // 2) ^ corr[t % 2, port], b // 2, (e // 2) ^ corr[b % 2, port]])
+    outcome = np.where(single, port, np.where(n_fired == 0, 4, 5))
+    indicators = np.array(
+        [single, n_fired > 1, sifted, sifted & (bits[0] != bits[1]), sifted & (bits[2] == bits[1])]
+        + [single & (port == d) for d in range(4)],
+        dtype=float,
+    )
+    return outcome, sifted, bits, indicators
+
+
+_CELL_OUTCOME, _CELL_SIFTED, _CELL_BITS, _INDICATORS = _cell_maps()
+
+
 def sift_and_key(theta_a: float, phi_b: float, outcome: BellOutcome) -> tuple[int, int] | None:
     """Sift one single-click slot; (alice_bit, bob_bit) or None on basis mismatch.
 
@@ -187,10 +238,11 @@ def sift_and_key(theta_a: float, phi_b: float, outcome: BellOutcome) -> tuple[in
     if outcome in (BellOutcome.NO_CLICK, BellOutcome.DOUBLE_CLICK):
         raise ValidationError(f"sift_and_key requires a single click, got {outcome}")
     ti, bi = phase_index(theta_a), phase_index(phi_b)
-    if ti % 2 != bi % 2:
+    pattern = 1 << OUTCOME_BY_DETECTOR.index(outcome)
+    cell = np.ravel_multi_index((ti, ti, bi, pattern), TENSOR_SHAPE)
+    if not _CELL_SIFTED[cell]:
         return None
-    correction = KEY_CORRECTION[(BASES[ti % 2], outcome)]
-    return ((ti // 2) ^ correction, bi // 2)
+    return int(_CELL_BITS[0, cell]), int(_CELL_BITS[1, cell])
 
 
 # --------------------------------------------------------------------------
@@ -247,12 +299,23 @@ class SessionStats:
         }
 
 
+def _stats(weights: np.ndarray, n_slots: int | None, attacked: bool) -> SessionStats:
+    """Statistics from per-cell counts (``n_slots`` given) or probabilities."""
+    single, double, sifted, errors, eve_match, *hist = (_INDICATORS @ weights).tolist()
+    n = 1 if n_slots is None else n_slots
+    return SessionStats(
+        n_slots=n_slots,
+        gain=single / n,
+        sifted_rate=sifted / n,
+        qber=errors / sifted if sifted else 0.0,
+        double_click_rate=double / n,
+        bell_histogram=tuple(hist),
+        eve_knowledge=(eve_match / sifted if sifted else 0.0) if attacked else None,
+    )
+
+
 # --------------------------------------------------------------------------
 # model resolution and click-probability tables
-
-_CORR = np.array(
-    [[KEY_CORRECTION[(b, o)] for o in OUTCOME_BY_DETECTOR] for b in BASES], dtype=np.int64
-)
 
 
 def _auto_model(attack: EveStrategy | None) -> DetectorModel:
@@ -376,6 +439,80 @@ def _honest_table(cfg: SessionConfig) -> np.ndarray:
     return table
 
 
+def _check_feasible(attack: EveStrategy, probs: np.ndarray) -> None:
+    if ((probs > 0.0) & (probs < 1.0)).any():
+        raise FeasibilityError("operating point falls in the detectors' probabilistic region")
+    strict = isinstance(attack, (PhaseDeviation, WavelengthBS, AsymmetricThreshold))
+    for (ei, bj), n in np.ndenumerate(probs.sum(axis=2)):
+        matched = ei % 2 == bj % 2
+        if not matched and n > 0:
+            raise FeasibilityError("clicks in basis-mismatched slots would cause key errors")
+        if matched and n > 1:
+            raise FeasibilityError("double clicks in basis-matched slots")
+        if matched and strict and n != 1:
+            raise FeasibilityError(f"{type(attack).__name__} must click in every matched slot")
+
+
+# --------------------------------------------------------------------------
+# session compilation
+
+
+def _pattern_probs(q: np.ndarray) -> np.ndarray:
+    """Click-pattern probabilities (..., 16) of independent ports firing with
+    probabilities ``q`` (..., 4)."""
+    q = q[..., None, :]
+    return np.where(_PATTERN_PORTS == 1, q, 1.0 - q).prod(axis=-1)
+
+
+#: Probability of each Eve branch given the sender phase, (sender, branch):
+#: Eve picks her basis uniformly; in the sender's basis she reads the sender's
+#: phase, in the other she reads either of its phases with equal chance.
+_EVE_BRANCH = np.array(
+    [[0.5 if e == t else (0.25 if e % 2 != t % 2 else 0.0) for e in range(4)] for t in range(4)]
+)
+
+
+@dataclass(frozen=True)
+class _Compiled:
+    """A resolved session, its port tables and its outcome tensor."""
+
+    cfg: SessionConfig
+    #: by (Eve branch, Bob, port): Born landing probabilities honestly (the
+    #: branch is the sender phase), mean photon numbers under attack
+    ports: np.ndarray
+    clicks: np.ndarray | None  # attacked click probabilities, like ``ports``
+    pulses: list[EvePulse] | None
+    weights: np.ndarray  # probability of each cell, flattened
+
+
+def _compile(cfg: SessionConfig) -> _Compiled:
+    """Resolve ``cfg``, check the attack is feasible and build the tensor.
+
+    Every table is built once here; feasibility is judged on the same
+    click-probability table the samplers and the enumeration then use.
+    """
+    cfg = _resolve(cfg)
+    if cfg.attack is None:
+        det: IdealDetectors = cfg.detectors
+        table = _honest_table(cfg)
+        eta = cfg.channel_transmittance * det.efficiency
+        active = np.asarray(cfg.receiver.active_detectors, dtype=float)
+        # per-port click probability given where the photon went: ports 0..3,
+        # then lost; a landed photon fires its port if active, darks fire any
+        landed = np.vstack([np.eye(4), np.zeros(4)])
+        fire = active * np.maximum(landed, det.dark_count_prob)
+        by_landing = _pattern_probs(fire)
+        landing = np.concatenate([eta * table, np.full((4, 4, 1), 1.0 - eta)], axis=2)
+        weights = np.zeros(TENSOR_SHAPE)
+        diagonal = np.arange(4)
+        weights[diagonal, diagonal] = (landing @ by_landing) / 16.0
+        return _Compiled(cfg, table, None, None, weights.ravel())
+    energies, probs, pulses = _attacked_tables(cfg)
+    _check_feasible(cfg.attack, probs)
+    weights = (_EVE_BRANCH / 16.0)[:, :, None, None] * _pattern_probs(probs)
+    return _Compiled(cfg, energies, probs, pulses, weights.ravel())
+
+
 def validate_attack(cfg: SessionConfig) -> SessionConfig:
     """Check the attack runs cleanly; returns the resolved config.
 
@@ -386,269 +523,118 @@ def validate_attack(cfg: SessionConfig) -> SessionConfig:
     every basis-matched slot, mirroring their narratives.  Raises
     :class:`FeasibilityError` before any slot runs.
     """
-    cfg = _resolve(cfg)
-    if cfg.attack is None:
-        return cfg
-    _, probs, _ = _attacked_tables(cfg)
-    fractional = (probs > 0.0) & (probs < 1.0)
-    if fractional.any():
-        raise FeasibilityError(
-            "operating point falls in the detectors' probabilistic region"
-        )
-    strict = isinstance(cfg.attack, (PhaseDeviation, WavelengthBS, AsymmetricThreshold))
-    clicks_per_slot = probs.sum(axis=2)
-    for ei in range(4):
-        for bj in range(4):
-            n = clicks_per_slot[ei, bj]
-            if ei % 2 != bj % 2:
-                if n > 0:
-                    raise FeasibilityError(
-                        "clicks in basis-mismatched slots would cause key errors"
-                    )
-            else:
-                if n > 1:
-                    raise FeasibilityError("double clicks in basis-matched slots")
-                if strict and n != 1:
-                    raise FeasibilityError(
-                        f"{type(cfg.attack).__name__} must click in every matched slot"
-                    )
-    return cfg
+    return _compile(cfg).cfg
 
 
 # --------------------------------------------------------------------------
-# session evaluation
+# sampling
+
+#: Slots per independently keyed block of the per-slot sampler's stream.
+SLOT_BLOCK = 4096
 
 
-def _classify(click_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(outcome index 0..5, clicked detector) per slot; 4=no click, 5=double."""
-    counts = click_matrix.sum(axis=1)
-    det = click_matrix.argmax(axis=1)
-    outcome = np.where(counts == 0, 4, np.where(counts > 1, 5, det))
-    return outcome, det
+def _slot_cells(comp: _Compiled) -> np.ndarray:
+    """Cell index of every slot, sampled physically from the port tables."""
+    cfg = comp.cfg
+    n = cfg.n_slots
+    cells = np.empty(n, dtype=np.int64)
+    active = np.asarray(cfg.receiver.active_detectors, dtype=bool)
+    if cfg.attack is None:
+        det: IdealDetectors = cfg.detectors
+        eta = cfg.channel_transmittance * det.efficiency
+        cum = np.cumsum(comp.ports, axis=2)
+    for start in range(0, n, SLOT_BLOCK):
+        # columns: sender, Bob, Eve basis, Eve branch, loss, landing, 4 ports
+        rng = np.random.default_rng([cfg.seed, start // SLOT_BLOCK])
+        u = rng.random((SLOT_BLOCK, 10))[: n - start]
+        t = (4 * u[:, 0]).astype(np.int64)
+        b = (4 * u[:, 1]).astype(np.int64)
+        if cfg.attack is None:
+            e = t
+            port = np.minimum((u[:, 5, None] >= cum[t, b]).sum(axis=1), 3)
+            clicks = (u[:, 6:] < det.dark_count_prob) & active
+            clicks[np.arange(len(u)), port] |= (u[:, 4] < eta) & active[port]
+        else:
+            basis = (u[:, 2] >= 0.5).astype(np.int64)
+            e = np.where(t % 2 == basis, t, basis + 2 * (u[:, 3] >= 0.5))
+            clicks = u[:, 6:] < comp.clicks[e, b]
+        pattern = clicks @ (1, 2, 4, 8)
+        cells[start : start + len(u)] = np.ravel_multi_index((t, e, b, pattern), TENSOR_SHAPE)
+    return cells
 
 
-def _aggregate(
-    n: int,
-    theta: np.ndarray,
-    phib: np.ndarray,
-    outcome: np.ndarray,
-    eve_idx: np.ndarray | None,
-) -> tuple[SessionStats, np.ndarray, np.ndarray, np.ndarray]:
-    single = outcome < 4
-    double = outcome == 5
-    matched = (theta % 2) == (phib % 2)
-    sifted = single & matched
-    alice_bit = np.where(sifted, (theta // 2) ^ _CORR[theta % 2, np.minimum(outcome, 3)], -1)
-    bob_bit = np.where(sifted, phib // 2, -1)
-    errors = int(np.sum(sifted & (alice_bit != bob_bit)))
-    n_sifted = int(sifted.sum())
-    if eve_idx is not None:
-        eve_bit = np.where(sifted, (eve_idx // 2) ^ _CORR[phib % 2, np.minimum(outcome, 3)], -1)
-        eve_knowledge = (
-            float(np.sum(sifted & (eve_bit == bob_bit)) / n_sifted) if n_sifted else 0.0
-        )
-    else:
-        eve_bit = np.full(n, -1)
-        eve_knowledge = None
-    hist = tuple(float(np.sum(outcome[single] == d)) for d in range(4))
-    stats = SessionStats(
-        n_slots=n,
-        gain=float(single.sum() / n),
-        sifted_rate=float(n_sifted / n),
-        qber=float(errors / n_sifted) if n_sifted else 0.0,
-        double_click_rate=float(double.sum() / n),
-        bell_histogram=hist,
-        eve_knowledge=eve_knowledge,
+def _records(comp: _Compiled, cells: np.ndarray) -> list[TrialRecord]:
+    attacked = comp.cfg.attack is not None
+    t, e, b, _ = np.unravel_index(cells, TENSOR_SHAPE)
+    eves = [None] * 4
+    if attacked:
+        eves = [(BASES[k % 2], BB84_PHASES[k], pulse) for k, pulse in enumerate(comp.pulses)]
+    columns = zip(
+        t.tolist(),
+        e.tolist(),
+        b.tolist(),
+        comp.ports[e, b].tolist(),
+        _CELL_OUTCOME[cells].tolist(),
+        _CELL_SIFTED[cells].tolist(),
+        *_CELL_BITS[:, cells].tolist(),
     )
-    return stats, sifted, np.stack([alice_bit, bob_bit, eve_bit]), outcome
-
-
-_OUTCOMES = tuple(OUTCOME_BY_DETECTOR) + (BellOutcome.NO_CLICK, BellOutcome.DOUBLE_CLICK)
+    return [
+        TrialRecord(
+            slot=i,
+            theta_a=BB84_PHASES[ti],
+            phi_b=BB84_PHASES[bj],
+            eve=eves[ei],
+            energies=tuple(energies),
+            outcome=_OUTCOMES[outcome],
+            sifted=sifted,
+            alice_bit=alice if sifted else None,
+            bob_bit=bob if sifted else None,
+            eve_bit=eve if sifted and attacked else None,
+        )
+        for i, (ti, ei, bj, energies, outcome, sifted, alice, bob, eve) in enumerate(columns)
+    ]
 
 
 def run_session(
     cfg: SessionConfig, collect_trials: bool = False
 ) -> SessionStats | tuple[SessionStats, list[TrialRecord]]:
-    """Run one sampled session; optionally also return per-slot records."""
-    cfg = validate_attack(cfg)
-    n = cfg.n_slots
-    rng = np.random.default_rng(cfg.seed)
-    theta = rng.integers(0, 4, n)
-    phib = rng.integers(0, 4, n)
-    eve_basis = rng.integers(0, 2, n)
-    meas_u = rng.random(n)
-    loss_u = rng.random(n)
-    outcome_u = rng.random(n)
-    click_u = rng.random((n, 4))
-    dark_u = rng.random((n, 4))
+    """Run one sampled session; optionally also return per-slot records.
 
-    active = np.asarray(cfg.receiver.active_detectors, dtype=bool)
-    if cfg.attack is None:
-        det_model: IdealDetectors = cfg.detectors
-        table = _honest_table(cfg)
-        cum = np.cumsum(table, axis=2)
-        arrive = loss_u < cfg.channel_transmittance * det_model.efficiency
-        landing = (outcome_u[:, None] >= cum[theta, phib]).sum(axis=1)
-        landing = np.minimum(landing, 3)
-        clicks = np.zeros((n, 4), dtype=bool)
-        clicks[np.arange(n), landing] = arrive & active[landing]
-        if det_model.dark_count_prob > 0:
-            clicks |= (dark_u < det_model.dark_count_prob) & active
-        outcome, _ = _classify(clicks)
-        eve_idx = None
-        energies_tab = table
-        e_idx_arr = np.zeros(n, dtype=np.int64)
-        pulses = None
-    else:
-        energies_tab, probs, pulses = _attacked_tables(cfg)
-        matched_eve = (theta % 2) == eve_basis
-        e_idx_arr = np.where(matched_eve, theta, eve_basis + 2 * (meas_u >= 0.5))
-        clicks = click_u < probs[e_idx_arr, phib]
-        outcome, _ = _classify(clicks)
-        eve_idx = e_idx_arr
-
-    stats, sifted, bits, outcome = _aggregate(n, theta, phib, outcome, eve_idx)
-    if not collect_trials:
-        return stats
-    records = []
-    for i in range(n):
-        if cfg.attack is None:
-            eve = None
-        else:
-            eve = (BASES[int(e_idx_arr[i]) % 2], BB84_PHASES[int(e_idx_arr[i])], pulses[int(e_idx_arr[i])])
-        row_idx = e_idx_arr[i] if cfg.attack is not None else theta[i]
-        is_sifted = bool(sifted[i])
-        records.append(
-            TrialRecord(
-                slot=i,
-                theta_a=BB84_PHASES[int(theta[i])],
-                phi_b=BB84_PHASES[int(phib[i])],
-                eve=eve,
-                energies=tuple(float(x) for x in energies_tab[int(row_idx), int(phib[i])]),
-                outcome=_OUTCOMES[int(outcome[i])],
-                sifted=is_sifted,
-                alice_bit=int(bits[0, i]) if is_sifted else None,
-                bob_bit=int(bits[1, i]) if is_sifted else None,
-                eve_bit=int(bits[2, i]) if is_sifted and cfg.attack is not None else None,
-            )
-        )
-    return stats, records
+    Without trials the cell counts are one multinomial draw over the outcome
+    tensor; with trials every slot is sampled physically and the report
+    counts the cells of those slots, so the records recount to the report.
+    """
+    comp = _compile(cfg)
+    n = comp.cfg.n_slots
+    attacked = comp.cfg.attack is not None
+    if collect_trials:
+        cells = _slot_cells(comp)
+        stats = _stats(np.bincount(cells, minlength=comp.weights.size), n, attacked)
+        return stats, _records(comp, cells)
+    # drawn over the support only: numpy gives any rounding remainder to the
+    # last category, which must not be an impossible cell
+    support = np.flatnonzero(comp.weights)
+    p = comp.weights[support]
+    counts = np.zeros(comp.weights.size, dtype=np.int64)
+    counts[support] = np.random.default_rng(cfg.seed).multinomial(n, p / p.sum())
+    return _stats(counts, n, attacked)
 
 
 # --------------------------------------------------------------------------
 # exact enumeration
 
 
-class _ExactAccumulator:
-    def __init__(self) -> None:
-        self.gain = 0.0
-        self.double = 0.0
-        self.sifted = 0.0
-        self.errors = 0.0
-        self.eve_match = 0.0
-        self.hist = [0.0, 0.0, 0.0, 0.0]
-
-    def add(self, weight: float, ti: int, bj: int, ei: int | None, pattern: Sequence[bool]) -> None:
-        fired = [d for d in range(4) if pattern[d]]
-        if len(fired) > 1:
-            self.double += weight
-            return
-        if not fired:
-            return
-        det = fired[0]
-        self.gain += weight
-        self.hist[det] += weight
-        if ti % 2 != bj % 2:
-            return
-        self.sifted += weight
-        corr = _CORR[ti % 2, det]
-        alice = (ti // 2) ^ corr
-        bob = bj // 2
-        if alice != bob:
-            self.errors += weight
-        if ei is not None and ((ei // 2) ^ _CORR[bj % 2, det]) == bob:
-            self.eve_match += weight
-
-    def stats(self, attacked: bool) -> SessionStats:
-        return SessionStats(
-            n_slots=None,
-            gain=self.gain,
-            sifted_rate=self.sifted,
-            qber=self.errors / self.sifted if self.sifted else 0.0,
-            double_click_rate=self.double,
-            bell_histogram=tuple(self.hist),
-            eve_knowledge=(self.eve_match / self.sifted if self.sifted else 0.0)
-            if attacked
-            else None,
-        )
-
-
-def _pattern_branches(probs: Sequence[float]):
-    """Expand per-detector click probabilities into weighted click patterns."""
-    fixed = [bool(p == 1.0) for p in probs]
-    free = [d for d, p in enumerate(probs) if 0.0 < p < 1.0]
-    if not free:
-        yield 1.0, fixed
-        return
-    for bits in itertools.product((False, True), repeat=len(free)):
-        w = 1.0
-        pattern = list(fixed)
-        for d, b in zip(free, bits):
-            pattern[d] = b
-            w *= probs[d] if b else 1.0 - probs[d]
-        if w > 0.0:
-            yield w, pattern
-
-
 def enumerate_exact(cfg: SessionConfig) -> SessionStats:
-    """Exact session statistics by summation over the discrete choice tree.
+    """Exact per-slot session statistics from the outcome tensor.
 
-    Replaces sampling with probability-weighted enumeration of every
-    (sender phase, Eve basis, measurement branch, Bob phase) combination and
-    every click pattern they can produce; the Monte Carlo path must converge
-    to these numbers within binomial fluctuations.
+    The session compiles into the probability of every (sender phase, Eve
+    branch, Bob phase, click pattern) cell, and each statistic is that
+    tensor summed against its per-cell indicator: no sampling, no branching
+    on honest or attacked runs.  Both samplers must converge to these numbers
+    within binomial fluctuations.
     """
-    cfg = validate_attack(cfg)
-    acc = _ExactAccumulator()
-    active = np.asarray(cfg.receiver.active_detectors, dtype=bool)
-    if cfg.attack is None:
-        det_model: IdealDetectors = cfg.detectors
-        table = _honest_table(cfg)
-        eta = cfg.channel_transmittance * det_model.efficiency
-        d = det_model.dark_count_prob
-        for ti in range(4):
-            for bj in range(4):
-                w_ab = 1.0 / 16.0
-                landings = [(eta * table[ti, bj, k], k) for k in range(4)]
-                landings.append((1.0 - eta, None))
-                for p_land, det in landings:
-                    if p_land == 0.0:
-                        continue
-                    base = [False] * 4
-                    if det is not None and active[det]:
-                        base[det] = True
-                    if d == 0.0:
-                        acc.add(w_ab * p_land, ti, bj, None, base)
-                        continue
-                    dark_p = [d if active[k] else 0.0 for k in range(4)]
-                    for w_dark, darks in _pattern_branches(dark_p):
-                        pattern = [a or b for a, b in zip(base, darks)]
-                        acc.add(w_ab * p_land * w_dark, ti, bj, None, pattern)
-        return acc.stats(attacked=False)
-
-    _, probs, _ = _attacked_tables(cfg)
-    for ti in range(4):
-        for basis_idx in range(2):
-            if ti % 2 == basis_idx:
-                branches = [(1.0, ti)]
-            else:
-                branches = [(0.5, basis_idx), (0.5, basis_idx + 2)]
-            for w_m, ei in branches:
-                for bj in range(4):
-                    w = (1.0 / 4.0) * 0.5 * w_m * (1.0 / 4.0)
-                    for w_p, pattern in _pattern_branches(list(probs[ei, bj])):
-                        acc.add(w * w_p, ti, bj, ei, pattern)
-    return acc.stats(attacked=True)
+    comp = _compile(cfg)
+    return _stats(comp.weights, None, comp.cfg.attack is not None)
 
 
 def breakeven_transmittance(
