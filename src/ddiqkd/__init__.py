@@ -10,7 +10,6 @@ from .attacks import (
     SingleDetectorBlinding,
     TimeShift,
     WavelengthBS,
-    eve_measure,
     expected_click_pair,
     feasible_mu_window,
     forge_pulse,
@@ -21,14 +20,15 @@ from .attacks import (
     threshold_window,
 )
 from .detectors import (
+    BlindedModel,
     DetectorResponseCurve,
-    ThresholdDetector,
-    TriggerPulse,
+    IdealDetectors,
+    TemporalModel,
+    ThresholdModel,
     blinded_click_probability,
     default_curves,
     load_curves,
-    temporal_click,
-    threshold_click,
+    temporal_click_probability,
 )
 from .optics import (
     BeamSplitter,
@@ -44,13 +44,9 @@ from .optics import (
     single_photon_probabilities,
 )
 from .protocol import (
-    BlindedModel,
-    IdealDetectors,
     KEY_CORRECTION,
     SessionConfig,
     SessionStats,
-    TemporalModel,
-    ThresholdModel,
     TrialRecord,
     breakeven_transmittance,
     derive_key_correction,

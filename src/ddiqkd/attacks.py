@@ -19,12 +19,19 @@ forged pulse toward Bob whose parameters depend on the strategy:
   ratios and her chosen polarization weight make the port energies
   asymmetric.
 
-Strategies are immutable values; every function is pure given the caller's
-RNG stream.
+Each strategy is one immutable class that owns its behaviour: its JSON
+``type`` name (``KIND``) and field converters (``FIELDS``), the detector
+model class it needs (``MODEL``) and the model it derives by default
+(``default_model``), its ``resolve`` step against a model, whether it must
+click in every basis-matched slot (``MUST_CLICK``), and ``forge``, the pulse
+resent for Eve's measured phase.  A new strategy is one class here, listed in
+``STRATEGIES``.  Every function is pure.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,12 +41,15 @@ import numpy as np
 
 from .detectors import (
     PHOTON_ENERGY_PJ,
+    BlindedModel,
     DetectorResponseCurve,
+    TemporalModel,
+    ThresholdModel,
     blinded_click_probability,
     curve_map,
 )
 from .optics import DETECTOR_PORTS, ValidationError
-from .receiver import BB84_PHASES, phase_energy_table
+from .receiver import parse_angle, phase_energy_table
 
 BASES = ("Z", "X")
 
@@ -55,46 +65,18 @@ def phase_index(phi: float) -> int:
     return int(snapped) % 4
 
 
-def basis_of_index(idx: int) -> str:
-    return BASES[idx % 2]
-
-
-def bit_of_index(idx: int) -> int:
-    return idx // 2
-
-
 def phase_basis(phi: float) -> str:
-    return basis_of_index(phase_index(phi))
-
-
-def phase_bit(phi: float) -> int:
-    return bit_of_index(phase_index(phi))
-
-
-def basis_phases(basis: str) -> tuple[float, float]:
-    if basis == "Z":
-        return (BB84_PHASES[0], BB84_PHASES[2])
-    if basis == "X":
-        return (BB84_PHASES[1], BB84_PHASES[3])
-    raise ValidationError(f"unknown basis {basis!r}")
-
-
-def eve_measure(theta_a: float, eve_basis: str, rng: np.random.Generator) -> float:
-    """Eve's BB84 measurement of the sender's phase.
-
-    Measuring in the preparation basis returns the prepared phase; in the
-    conjugate basis the two outcomes are equally likely (the BB84 overlaps
-    are all 1/2).
-    """
-    idx = phase_index(theta_a)
-    lo, hi = basis_phases(eve_basis)
-    if basis_of_index(idx) == eve_basis:
-        return BB84_PHASES[idx]
-    return lo if rng.random() < 0.5 else hi
+    return BASES[phase_index(phi) % 2]
 
 
 class FeasibilityError(Exception):
     """The strategy cannot run cleanly (errors or double clicks would leak)."""
+
+
+def _require(name: str, value: float, lo: float, hi: float = math.inf) -> None:
+    """Reject ``value`` unless it is finite and within [lo, hi]."""
+    if not (lo <= value <= hi and math.isfinite(value)):
+        raise ValidationError(f"{name}={value} outside [{lo}, {hi}] or not finite")
 
 
 @dataclass(frozen=True)
@@ -104,8 +86,10 @@ class EvePulse:
     ``gamma`` is the H-polarization weight and ``splitting`` the pair of
     beamsplitter transmittances Bob's receiver exhibits at the pulse's
     wavelength; ``None`` means the design wavelength, i.e. the receiver's own
-    ratios (1/2 by default).  The defaults reproduce the plain bright-resend
-    pulse of the one-detector attack.
+    ratios (1/2 by default).  ``p_b`` (mW) and ``arrival_time`` (ns) are what
+    the curve-driven click models read: the blinding power for the pulse's
+    basis and the time it reaches the detectors.  The defaults reproduce the
+    plain bright-resend pulse of the one-detector attack.
     """
 
     mu: float
@@ -113,12 +97,25 @@ class EvePulse:
     gamma: float = 0.5
     splitting: tuple[float, float] | None = None
     arrival_time: float | None = None
+    p_b: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mu < 0:
-            raise ValidationError(f"pulse mean photon number {self.mu} < 0")
+        if not 0.0 <= self.mu < math.inf:
+            raise ValidationError(f"pulse mean photon number {self.mu} < 0 or not finite")
         if not (0.0 <= self.gamma <= 1.0):
             raise ValidationError(f"gamma={self.gamma} outside [0, 1]")
+
+
+def _threshold_model(strategy) -> ThresholdModel:
+    return ThresholdModel(strategy.mu_th)
+
+
+def _same_threshold(strategy, model: ThresholdModel):
+    if model.mu_th != strategy.mu_th:
+        raise ValidationError(
+            f"model mu_th {model.mu_th} disagrees with strategy mu_th {strategy.mu_th}"
+        )
+    return strategy
 
 
 @dataclass(frozen=True)
@@ -127,6 +124,37 @@ class SingleDetectorBlinding:
 
     mu: float
     mu_th: float
+
+    KIND = "single_detector_blinding"
+    FIELDS = {"mu": float, "mu_th": float}
+    MODEL = ThresholdModel
+    MUST_CLICK = False
+    default_model = _threshold_model
+    resolve = _same_threshold
+
+    def __post_init__(self) -> None:
+        _require("mu", self.mu, 0.0)
+        _require("mu_th", self.mu_th, 0.0)
+
+    def forge(self, phi_e: float) -> EvePulse:
+        return EvePulse(mu=self.mu, phi_e=phi_e)
+
+
+def _basis_map(first):
+    """Converter of a JSON object basis -> [x, y] to basis -> (first(x), float(y))."""
+
+    def convert(data):
+        if data is None:
+            return None
+        return {basis: (first(x), float(y)) for basis, (x, y) in data.items()}
+
+    return convert
+
+
+def _require_bases(name: str, mapping: Mapping | None) -> None:
+    for basis in mapping or ():
+        if basis not in BASES:
+            raise ValidationError(f"{name} has unknown basis {basis!r}")
 
 
 @dataclass(frozen=True)
@@ -141,12 +169,32 @@ class AsymmetricThreshold:
     p_b: float
     e_t: float
     schedule: Mapping[str, tuple[float, float]] | None = None
-    photon_energy_pj: float = PHOTON_ENERGY_PJ
+
+    KIND = "asymmetric_threshold"
+    FIELDS = {"p_b": float, "e_t": float, "schedule": _basis_map(float)}
+    MODEL = BlindedModel
+    MUST_CLICK = True
+
+    def __post_init__(self) -> None:
+        _require_bases("schedule", self.schedule)
+        for p_b, e_t in [(self.p_b, self.e_t), *(self.schedule or {}).values()]:
+            _require("p_b", p_b, 0.0)
+            _require("e_t", e_t, 0.0)
+
+    def default_model(self) -> BlindedModel:
+        return BlindedModel()
+
+    def resolve(self, model: BlindedModel) -> AsymmetricThreshold:
+        return self
 
     def operating_point(self, basis: str) -> tuple[float, float]:
         if self.schedule is not None and basis in self.schedule:
             return tuple(self.schedule[basis])
         return (self.p_b, self.e_t)
+
+    def forge(self, phi_e: float) -> EvePulse:
+        p_b, e_t = self.operating_point(phase_basis(phi_e))
+        return EvePulse(mu=e_t / PHOTON_ENERGY_PJ, phi_e=phi_e, p_b=p_b)
 
 
 @dataclass(frozen=True)
@@ -154,13 +202,47 @@ class TimeShift:
     """Blinded four-detector attack steering arrival times into one window.
 
     ``targets`` maps each basis to the detector Eve aims at and the pulse
-    arrival time (ns); build it with :func:`plan_time_shift`.
+    arrival time (ns); build it with :func:`plan_time_shift`, or leave it
+    None to have a session plan it against its detector curves.
     """
 
     p_b: float
     e_t: float
     targets: Mapping[str, tuple[str, float]] | None = None
-    photon_energy_pj: float = PHOTON_ENERGY_PJ
+
+    KIND = "time_shift"
+    FIELDS = {"p_b": float, "e_t": float, "targets": _basis_map(str)}
+    MODEL = TemporalModel
+    MUST_CLICK = False
+
+    def __post_init__(self) -> None:
+        _require("p_b", self.p_b, 0.0)
+        _require("e_t", self.e_t, 0.0)
+        _require_bases("targets", self.targets)
+        for detector, arrival in (self.targets or {}).values():
+            if detector not in DETECTOR_PORTS:
+                raise ValidationError(f"time-shift target {detector!r} is not a detector")
+            _require("arrival time", arrival, -math.inf)
+
+    def default_model(self) -> TemporalModel:
+        return TemporalModel()
+
+    def resolve(self, model: TemporalModel) -> TimeShift:
+        if self.targets is not None:
+            return self
+        planned = plan_time_shift(model.curves, p_b=self.p_b, e_t=self.e_t)
+        return dataclasses.replace(self, targets=planned.targets)
+
+    def forge(self, phi_e: float) -> EvePulse:
+        if self.targets is None:
+            raise FeasibilityError("time-shift targets unresolved; use plan_time_shift")
+        basis = phase_basis(phi_e)
+        if basis not in self.targets:
+            raise FeasibilityError(f"no time-shift target for basis {basis}")
+        _, arrival = self.targets[basis]
+        return EvePulse(
+            mu=self.e_t / PHOTON_ENERGY_PJ, phi_e=phi_e, arrival_time=arrival, p_b=self.p_b
+        )
 
 
 @dataclass(frozen=True)
@@ -170,6 +252,21 @@ class PhaseDeviation:
     delta_phi_e: float
     mu: float
     mu_th: float
+
+    KIND = "phase_deviation"
+    FIELDS = {"delta_phi_e": parse_angle, "mu": float, "mu_th": float}
+    MODEL = ThresholdModel
+    MUST_CLICK = True
+    default_model = _threshold_model
+    resolve = _same_threshold
+
+    def __post_init__(self) -> None:
+        _require("delta_phi_e", self.delta_phi_e, -math.inf)
+        _require("mu", self.mu, 0.0)
+        _require("mu_th", self.mu_th, 0.0)
+
+    def forge(self, phi_e: float) -> EvePulse:
+        return EvePulse(mu=self.mu, phi_e=phi_e + self.delta_phi_e)
 
 
 @dataclass(frozen=True)
@@ -182,48 +279,37 @@ class WavelengthBS:
     mu: float
     mu_th: float
 
+    KIND = "wavelength_bs"
+    FIELDS = {"gamma": float, "t1": float, "t2": float, "mu": float, "mu_th": float}
+    MODEL = ThresholdModel
+    MUST_CLICK = True
+    default_model = _threshold_model
+    resolve = _same_threshold
+
     def __post_init__(self) -> None:
-        for name, x in (("gamma", self.gamma), ("t1", self.t1), ("t2", self.t2)):
-            if not (0.0 <= x <= 1.0):
-                raise ValidationError(f"{name}={x} outside [0, 1]")
+        for name in ("gamma", "t1", "t2"):
+            _require(name, getattr(self, name), 0.0, 1.0)
+        _require("mu", self.mu, 0.0)
+        _require("mu_th", self.mu_th, 0.0)
+
+    def forge(self, phi_e: float) -> EvePulse:
+        return EvePulse(mu=self.mu, phi_e=phi_e, gamma=self.gamma, splitting=(self.t1, self.t2))
 
 
 EveStrategy = (
     SingleDetectorBlinding | AsymmetricThreshold | TimeShift | PhaseDeviation | WavelengthBS
 )
 
+#: Strategies by their JSON ``type`` name.
+STRATEGIES = {
+    cls.KIND: cls
+    for cls in (SingleDetectorBlinding, AsymmetricThreshold, TimeShift, PhaseDeviation, WavelengthBS)
+}
 
-def forge_pulse(strategy: EveStrategy, phi_e: float, slot_index: int = 0) -> EvePulse:
-    """Build Eve's resent pulse for a measurement result ``phi_e``.
 
-    ``slot_index`` is a hook for per-slot schedules; the bundled strategies
-    key their choices off the pulse phase alone.
-    """
-    if isinstance(strategy, SingleDetectorBlinding):
-        return EvePulse(mu=strategy.mu, phi_e=phi_e)
-    if isinstance(strategy, PhaseDeviation):
-        return EvePulse(mu=strategy.mu, phi_e=phi_e + strategy.delta_phi_e)
-    if isinstance(strategy, WavelengthBS):
-        return EvePulse(
-            mu=strategy.mu,
-            phi_e=phi_e,
-            gamma=strategy.gamma,
-            splitting=(strategy.t1, strategy.t2),
-        )
-    if isinstance(strategy, AsymmetricThreshold):
-        _, e_t = strategy.operating_point(phase_basis(phi_e))
-        return EvePulse(mu=e_t / strategy.photon_energy_pj, phi_e=phi_e)
-    if isinstance(strategy, TimeShift):
-        if strategy.targets is None:
-            raise FeasibilityError("time-shift targets unresolved; use plan_time_shift")
-        basis = phase_basis(phi_e)
-        if basis not in strategy.targets:
-            raise FeasibilityError(f"no time-shift target for basis {basis}")
-        _, arrival = strategy.targets[basis]
-        return EvePulse(
-            mu=strategy.e_t / strategy.photon_energy_pj, phi_e=phi_e, arrival_time=arrival
-        )
-    raise ValidationError(f"unknown strategy {strategy!r}")
+def forge_pulse(strategy: EveStrategy, phi_e: float) -> EvePulse:
+    """Build Eve's resent pulse for a measurement result ``phi_e``."""
+    return strategy.forge(phi_e)
 
 
 def feasible_mu_window(e_high: float, e_low: float) -> tuple[float, float] | None:
@@ -259,24 +345,22 @@ def _unit_energy_table() -> np.ndarray:
     return phase_energy_table(1.0)
 
 
-def expected_click_pair(basis: str) -> tuple[str, str]:
-    """The two detectors that go hot when Eve's and Bob's phases coincide."""
-    idx = 0 if basis == "Z" else 1
+def _hot_pair(basis: str, bob_offset: int) -> tuple[str, str]:
     if basis not in BASES:
         raise ValidationError(f"unknown basis {basis!r}")
-    row = _unit_energy_table()[idx, idx]
-    hot = np.flatnonzero(row > 0.75)
+    idx = BASES.index(basis)
+    hot = np.flatnonzero(_unit_energy_table()[idx, idx + bob_offset] > 0.75)
     return (DETECTOR_PORTS[hot[0]], DETECTOR_PORTS[hot[1]])
+
+
+def expected_click_pair(basis: str) -> tuple[str, str]:
+    """The two detectors that go hot when Eve's and Bob's phases coincide."""
+    return _hot_pair(basis, 0)
 
 
 def orthogonal_click_pair(basis: str) -> tuple[str, str]:
     """The hot detectors when Bob's phase is the basis partner of Eve's."""
-    idx = 0 if basis == "Z" else 1
-    if basis not in BASES:
-        raise ValidationError(f"unknown basis {basis!r}")
-    row = _unit_energy_table()[idx, idx + 2]
-    hot = np.flatnonzero(row > 0.75)
-    return (DETECTOR_PORTS[hot[0]], DETECTOR_PORTS[hot[1]])
+    return _hot_pair(basis, 2)
 
 
 def threshold_window(
@@ -309,20 +393,29 @@ def threshold_window(
     return feasible_mu_window(high, low)
 
 
+#: Grid steps of the operating-point search: blinding power (mW), trigger energy (pJ).
+PB_STEP = 0.005
+ET_STEP = 0.005
+
+
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    pts = lo + step * np.arange(int((hi - lo) / step + 1e-9) + 1)
+    return pts if pts[-1] >= hi - 1e-12 else np.append(pts, hi)
+
+
 def select_operating_point(
     curves: Sequence[DetectorResponseCurve] | Mapping[str, DetectorResponseCurve],
     constraints: Sequence[tuple[str, str]],
-    pb_step: float = 0.005,
-    et_step: float = 0.005,
 ) -> tuple[float, float] | None:
     """Grid-search a (P_B, E_T) point satisfying must-click / must-not-click pairs.
 
     Every constraint ``(i, j)`` demands a sure click on detector ``i`` and a
     sure non-click on detector ``j`` at the same trigger energy.  Among the
     feasible grid points the one with the largest worst-case margin to the
-    threshold curves wins, ties broken toward smaller (P_B, E_T).  Feasibility
-    is judged by :func:`blinded_click_probability` itself, so any returned
-    point re-verifies by construction.
+    threshold curves wins, ties broken toward smaller (P_B, E_T) in P_B-major
+    order.  Feasibility is judged by :func:`blinded_click_probability`
+    itself, over the whole grid at once, so any returned point re-verifies by
+    construction.
     """
     cmap = curves if isinstance(curves, Mapping) else curve_map(curves)
     involved = []
@@ -338,30 +431,21 @@ def select_operating_point(
     pb_hi = min(c.power_range()[1] for c in involved)
     if pb_lo > pb_hi:
         return None
-    et_hi = max(y for c in involved for _, y in c.always_points) + et_step
-
-    def grid(lo: float, hi: float, step: float) -> np.ndarray:
-        pts = lo + step * np.arange(int((hi - lo) / step + 1e-9) + 1)
-        return pts if pts[-1] >= hi - 1e-12 else np.append(pts, hi)
-
-    best = None
-    best_margin = -np.inf
-    for pb in grid(pb_lo, pb_hi, pb_step):
-        for et in grid(0.0, et_hi, et_step):
-            margin = np.inf
-            ok = True
-            for i, j in constraints:
-                if blinded_click_probability(cmap[i], pb, et) != 1.0:
-                    ok = False
-                    break
-                if blinded_click_probability(cmap[j], pb, et) != 0.0:
-                    ok = False
-                    break
-                margin = min(margin, et - cmap[i].e_always(pb), cmap[j].e_never(pb) - et)
-            if ok and margin > best_margin:
-                best_margin = margin
-                best = (float(pb), float(et))
-    return best
+    et_hi = max(y for c in involved for _, y in c.always_points) + ET_STEP
+    pbs, ets = _grid(pb_lo, pb_hi, PB_STEP), _grid(0.0, et_hi, ET_STEP)
+    pb, et = pbs[:, None], ets[None, :]
+    ok = np.ones((pbs.size, ets.size), dtype=bool)
+    margin = np.full(ok.shape, np.inf)
+    for i, j in constraints:
+        ok &= blinded_click_probability(cmap[i], pb, et) == 1.0
+        ok &= blinded_click_probability(cmap[j], pb, et) == 0.0
+        margin = np.minimum(margin, et - cmap[i].e_always(pb))
+        margin = np.minimum(margin, cmap[j].e_never(pb) - et)
+    if not ok.any():
+        return None
+    # argmax returns the first maximum in row-major, i.e. P_B-major, order
+    best = np.unravel_index(np.argmax(np.where(ok, margin, -np.inf)), ok.shape)
+    return (float(pbs[best[0]]), float(ets[best[1]]))
 
 
 def _isolated_time(
@@ -437,8 +521,6 @@ def plan_time_shift(
 
 def plan_asymmetric_threshold(
     curves: Sequence[DetectorResponseCurve] | Mapping[str, DetectorResponseCurve],
-    pb_step: float = 0.005,
-    et_step: float = 0.005,
 ) -> AsymmetricThreshold | None:
     """Find asymmetric-threshold operating points for all four hot pairs.
 
@@ -453,35 +535,25 @@ def plan_asymmetric_threshold(
         "X": (expected_click_pair("X"), orthogonal_click_pair("X")),
     }
 
-    def half_silent(point: tuple[float, float], dets: Sequence[str]) -> bool:
+    def half_silent(point: tuple[float, float]) -> bool:
         pb, et = point
-        return all(blinded_click_probability(cmap[d], pb, 0.5 * et) == 0.0 for d in dets)
+        return all(blinded_click_probability(cmap[d], pb, 0.5 * et) == 0.0 for d in cmap)
 
-    def winner_choices(pair_list):
-        if not pair_list:
-            yield []
-            return
-        (a, b), *rest = pair_list
-        for tail in winner_choices(rest):
-            yield [(a, b)] + tail
-            yield [(b, a)] + tail
+    def first_point(pair_list) -> tuple[float, float] | None:
+        """The first winner choice giving a half-silent point; the choices
+        count in binary with the first pair's winner as the lowest bit."""
+        for flips in itertools.product((False, True), repeat=len(pair_list)):
+            combo = [pair[::-1] if flip else pair for pair, flip in zip(pair_list, flips[::-1])]
+            point = select_operating_point(cmap, combo)
+            if point is not None and half_silent(point):
+                return point
+        return None
 
-    all_pairs = [p for basis in BASES for p in pairs[basis]]
-    for combo in winner_choices(all_pairs):
-        point = select_operating_point(cmap, combo, pb_step, et_step)
-        if point is not None and half_silent(point, list(cmap)):
-            return AsymmetricThreshold(p_b=point[0], e_t=point[1])
-
-    schedule = {}
-    for basis in BASES:
-        found = None
-        for combo in winner_choices(list(pairs[basis])):
-            point = select_operating_point(cmap, combo, pb_step, et_step)
-            if point is not None and half_silent(point, list(cmap)):
-                found = point
-                break
-        if found is None:
-            return None
-        schedule[basis] = found
+    static = first_point([p for basis in BASES for p in pairs[basis]])
+    if static is not None:
+        return AsymmetricThreshold(p_b=static[0], e_t=static[1])
+    schedule = {basis: first_point(pairs[basis]) for basis in BASES}
+    if None in schedule.values():
+        return None
     first = schedule[BASES[0]]
     return AsymmetricThreshold(p_b=first[0], e_t=first[1], schedule=schedule)

@@ -29,38 +29,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import (
-    AsymmetricThreshold,
-    FeasibilityError,
-    PhaseDeviation,
-    SingleDetectorBlinding,
-    TimeShift,
-    WavelengthBS,
-    select_operating_point,
-)
-from .detectors import (
-    CurveFileError,
-    blinded_click_probability,
-    curve_map,
-    default_curves,
-    load_curves,
-)
+from .attacks import STRATEGIES, FeasibilityError, select_operating_point
+from .detectors import MODELS, CurveFileError, blinded_click_probability, curve_map, curve_source
 from .optics import ConfigurationError, ValidationError
-from .protocol import (
-    BlindedModel,
-    IdealDetectors,
-    SessionConfig,
-    TemporalModel,
-    ThresholdModel,
-    breakeven_transmittance,
-    enumerate_exact,
-    run_session,
-)
+from .protocol import SessionConfig, breakeven_transmittance, enumerate_exact, run_session
 from .receiver import (
     BB84_PHASES,
     ReceiverConfig,
     balanced_port_amplitudes,
     general_port_amplitudes,
+    parse_angle,
     phase_energy_table,
     propagated_port_amplitudes,
 )
@@ -76,26 +54,6 @@ VERIFY_TOLERANCE = 1e-12
 #: Transmittance equivalent of the 3 dB rule of thumb for intercept-resend
 #: attacks on standard receivers, reported alongside the computed break-even.
 REFERENCE_TRANSMITTANCE = 0.5
-
-
-def parse_angle(text: str | float) -> float:
-    """Radians from a float or a pi-fraction string: ``0.5pi``, ``pi/36``, ``-3pi/2``."""
-    if isinstance(text, (int, float)):
-        return float(text)
-    s = text.strip().lower().replace(" ", "")
-    try:
-        if "pi" in s:
-            head, _, tail = s.partition("pi")
-            num = float(head) if head not in ("", "+", "-") else float(head + "1")
-            den = 1.0
-            if tail:
-                if not tail.startswith("/"):
-                    raise ValueError(tail)
-                den = float(tail[1:])
-            return num * math.pi / den
-        return float(s)
-    except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"cannot parse angle {text!r}") from None
 
 
 def _positive_float(text: str) -> float:
@@ -115,34 +73,25 @@ def _angle_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _open_out(args) -> object:
-    return open(args.out, "w", newline="") if args.out else sys.stdout
+def _emit(args, write) -> None:
+    """Call ``write(stream)`` on the ``--out`` file, or on stdout."""
+    if not args.out:
+        write(sys.stdout)
+        return
+    with open(args.out, "w", newline="") as stream:
+        write(stream)
 
 
 def _emit_rows(args, header: list[str], rows: list[list]) -> None:
     """Tabular output: CSV unless JSON was asked for explicitly."""
-    stream = _open_out(args)
-    try:
-        if args.format == "json":
-            json.dump([dict(zip(header, row)) for row in rows], stream, indent=2)
-            stream.write("\n")
-        else:
-            writer = csv.writer(stream)
-            writer.writerow(header)
-            writer.writerows(rows)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    if args.format == "json":
+        _emit_obj(args, [dict(zip(header, row)) for row in rows])
+    else:
+        _emit(args, lambda stream: csv.writer(stream).writerows([header, *rows]))
 
 
-def _emit_obj(args, obj: dict) -> None:
-    stream = _open_out(args)
-    try:
-        json.dump(obj, stream, indent=2)
-        stream.write("\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+def _emit_obj(args, obj: dict | list) -> None:
+    _emit(args, lambda stream: stream.write(json.dumps(obj, indent=2) + "\n"))
 
 
 def _error(kind: str, message: str) -> dict:
@@ -153,92 +102,81 @@ def _error(kind: str, message: str) -> dict:
 # config files
 
 
-def _load_curve_source(source: str | None):
-    if source in (None, "default"):
-        return default_curves()
-    return load_curves(source)
+def _integer(value) -> int:
+    """A JSON integer; a float is accepted only when it is integral."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValidationError(f"{value!r} is not an integer")
 
 
-def _receiver_from_json(data: dict) -> ReceiverConfig:
-    return ReceiverConfig(
-        t1=float(data.get("t1", 0.5)),
-        t2=float(data.get("t2", 0.5)),
-        phi_b=parse_angle(data.get("phi_b", 0.0)),
-        active_detectors=tuple(bool(x) for x in data.get("active_detectors", [True] * 4)),
-    )
+def _flags(value) -> tuple[bool, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, bool) for x in value):
+        raise ValidationError(f"expected a list of JSON booleans, got {value!r}")
+    return tuple(value)
 
 
-def _detectors_from_json(data: dict | None):
-    if data is None:
-        return None
-    model = data.get("model")
-    if model == "ideal":
-        return IdealDetectors(
-            efficiency=float(data.get("efficiency", 1.0)),
-            dark_count_prob=float(data.get("dark_count_prob", 0.0)),
-        )
-    if model == "threshold":
-        return ThresholdModel(mu_th=float(data["mu_th"]))
-    if model == "blinded":
-        return BlindedModel(curves=tuple(_load_curve_source(data.get("curves"))))
-    if model == "temporal":
-        return TemporalModel(curves=tuple(_load_curve_source(data.get("curves"))))
-    raise ValidationError(f"unknown detector model {model!r}")
+def _build(cls, fields: dict, data, where: str):
+    """``cls`` from the JSON object ``data``, each key converted by ``fields``."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {data!r}")
+    unknown = [key for key in data if key not in fields]
+    if unknown:
+        raise ValidationError(f"unknown key {unknown[0]!r} in {where}")
+    for f in dataclasses.fields(cls):
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and f.name not in data:
+            raise ValidationError(f"config is missing field {f.name!r} in {where}")
+    kwargs = {}
+    for key, value in data.items():
+        try:
+            kwargs[key] = fields[key](value)
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValidationError(f"bad value for {key!r} in {where}: {exc}") from None
+    return cls(**kwargs)
 
 
-def _attack_from_json(data: dict | None):
-    if data is None:
-        return None
-    kind = data.get("type")
-    if kind == "single_detector_blinding":
-        return SingleDetectorBlinding(mu=float(data["mu"]), mu_th=float(data["mu_th"]))
-    if kind == "phase_deviation":
-        return PhaseDeviation(
-            delta_phi_e=parse_angle(data["delta_phi_e"]),
-            mu=float(data["mu"]),
-            mu_th=float(data["mu_th"]),
-        )
-    if kind == "wavelength_bs":
-        return WavelengthBS(
-            gamma=float(data["gamma"]),
-            t1=float(data["t1"]),
-            t2=float(data["t2"]),
-            mu=float(data["mu"]),
-            mu_th=float(data["mu_th"]),
-        )
-    if kind == "asymmetric_threshold":
-        schedule = data.get("schedule")
-        if schedule is not None:
-            schedule = {b: (float(p), float(e)) for b, (p, e) in schedule.items()}
-        return AsymmetricThreshold(
-            p_b=float(data["p_b"]), e_t=float(data["e_t"]), schedule=schedule
-        )
-    if kind == "time_shift":
-        targets = data.get("targets")
-        if targets is not None:
-            targets = {b: (str(d), float(t)) for b, (d, t) in targets.items()}
-        return TimeShift(p_b=float(data["p_b"]), e_t=float(data["e_t"]), targets=targets)
-    raise ValidationError(f"unknown attack type {kind!r}")
+def _tagged(table: dict, tag: str, where: str):
+    """Converter of a JSON object naming its class in ``tag``, or null."""
+
+    def convert(data):
+        if data is None:
+            return None
+        if not isinstance(data, dict):
+            raise ValidationError(f"{where} must be a JSON object, got {data!r}")
+        cls = table.get(data.get(tag))
+        if cls is None:
+            raise ValidationError(f"unknown {tag} {data.get(tag)!r} in {where}")
+        return _build(cls, cls.FIELDS, {k: v for k, v in data.items() if k != tag}, where)
+
+    return convert
+
+
+_RECEIVER_FIELDS = {"t1": float, "t2": float, "phi_b": parse_angle, "active_detectors": _flags}
+
+_SESSION_FIELDS = {
+    "n_slots": _integer,
+    "seed": _integer,
+    "channel_transmittance": float,
+    "receiver": lambda data: _build(ReceiverConfig, _RECEIVER_FIELDS, data, "receiver"),
+    "detectors": _tagged(MODELS, "model", "detectors"),
+    "attack": _tagged(STRATEGIES, "type", "attack"),
+}
+
+
+def _reject_constant(name: str):
+    raise ValidationError(f"config contains {name}, which is not a number")
 
 
 def load_session_config(path: str | Path, seed_override: int | None = None) -> SessionConfig:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except OSError as exc:
         raise ValidationError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from None
-    try:
-        cfg = SessionConfig(
-            n_slots=int(data["n_slots"]),
-            seed=int(data.get("seed", 0)),
-            channel_transmittance=float(data.get("channel_transmittance", 1.0)),
-            receiver=_receiver_from_json(data.get("receiver", {})),
-            detectors=_detectors_from_json(data.get("detectors")),
-            attack=_attack_from_json(data.get("attack")),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"config is missing field {exc}") from None
+    cfg = _build(SessionConfig, _SESSION_FIELDS, data, "session config")
     if seed_override is not None:
         cfg = dataclasses.replace(cfg, seed=seed_override)
     return cfg
@@ -349,7 +287,7 @@ def _parse_constraints(text: str) -> list[tuple[str, str]]:
 
 
 def cmd_opsearch(args) -> int:
-    curves = _load_curve_source(args.curves)
+    curves = curve_source(args.curves)
     constraints = _parse_constraints(args.constraints)
     point = select_operating_point(curves, constraints)
     if point is None:
@@ -476,11 +414,17 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except FeasibilityError as exc:
-        _emit_obj(args, _error("infeasible", str(exc)))
-        return EXIT_INFEASIBLE
+        code, error = EXIT_INFEASIBLE, _error("infeasible", str(exc))
     except (ValidationError, ConfigurationError, CurveFileError) as exc:
-        _emit_obj(args, _error("config", str(exc)))
-        return EXIT_CONFIG
+        code, error = EXIT_CONFIG, _error("config", str(exc))
+    except OSError as exc:
+        code, error = EXIT_CONFIG, _error("config", f"cannot write output: {exc}")
+    try:
+        _emit_obj(args, error)
+    except OSError:
+        args.out = None  # the error object goes to stdout when --out is unwritable
+        _emit_obj(args, error)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,15 +1,22 @@
 """Click models for the four receiver detectors.
 
-Three regimes are covered:
+Three bright-light regimes are covered, one model class each, besides the
+honest ``IdealDetectors``:
 
-* an idealized threshold detector that clicks whenever the incoming mean
-  photon number reaches ``mu_th`` (the bright-light blinded limit),
-* blinded detectors whose click behaviour depends on the continuous blinding
-  power P_B and the trigger-pulse energy E_T, captured by a pair of
-  piecewise-linear curves per detector: below E_never(P_B) the click
-  probability is 0, above E_always(P_B) it is 1, linear in between,
-* a temporal response window per detector outside of which a pulse can never
-  register, regardless of its energy.
+* ``ThresholdModel``: an idealized threshold detector that clicks whenever
+  the incoming mean photon number reaches ``mu_th`` (the bright-light
+  blinded limit),
+* ``BlindedModel``: blinded detectors whose click behaviour depends on the
+  continuous blinding power P_B and the trigger-pulse energy E_T, captured by
+  a pair of piecewise-linear curves per detector: below E_never(P_B) the
+  click probability is 0, above E_always(P_B) it is 1, linear in between,
+* ``TemporalModel``: the blinded curves plus a temporal response window per
+  detector outside of which a pulse can never register, regardless of its
+  energy.
+
+Each bright-light model scores a whole (Eve phase, Bob phase, port) table of
+forged-pulse energies at once with ``click_probs``; the curve functions
+``blinded_click_probability`` and ``temporal_click_probability`` take arrays.
 
 Response curves are loaded from CSV.  The bundled fixture is synthetic: the
 curves are constructed to pass through two published operating points for a
@@ -21,21 +28,22 @@ Protocol-level energies are kept in mean-photon-number units; picojoules and
 milliwatts appear only in curve files.  ``PHOTON_ENERGY_PJ`` converts between
 the two for mixed scenarios.
 
-Curves are immutable after loading and click evaluation is pure given the
-caller's RNG, so everything here is safe for concurrent use.
+Curves and models are immutable after construction and click evaluation is
+pure, so everything here is safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import csv
 import importlib.resources
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .optics import ValidationError
+from .optics import DETECTOR_PORTS, ValidationError
 
 #: Energy of one 1550 nm photon in picojoules (h*c/lambda).
 PHOTON_ENERGY_PJ = 1.2815779e-07
@@ -43,36 +51,6 @@ PHOTON_ENERGY_PJ = 1.2815779e-07
 
 class CurveFileError(ValueError):
     """A curve file failed to parse or violates a curve invariant."""
-
-
-@dataclass(frozen=True)
-class ThresholdDetector:
-    """Deterministic blinded detector: clicks iff energy >= mu_th."""
-
-    mu_th: float
-
-    def __post_init__(self) -> None:
-        if not self.mu_th > 0:
-            raise ValidationError(f"click threshold {self.mu_th} must be > 0")
-
-
-def threshold_click(energy: float, det: ThresholdDetector) -> bool:
-    """Inclusive threshold: ``energy == mu_th`` clicks."""
-    if energy < 0:
-        raise ValidationError(f"energy {energy} < 0")
-    return energy >= det.mu_th
-
-
-@dataclass(frozen=True)
-class TriggerPulse:
-    """A bright trigger pulse: energy in pJ, arrival time in ns."""
-
-    energy: float
-    arrival_time: float
-
-    def __post_init__(self) -> None:
-        if self.energy < 0:
-            raise ValidationError(f"pulse energy {self.energy} < 0")
 
 
 @dataclass(frozen=True)
@@ -93,6 +71,8 @@ class DetectorResponseCurve:
         for name, pts in (("never", self.never_points), ("always", self.always_points)):
             if len(pts) < 1:
                 raise CurveFileError(f"{self.detector}: empty {name} curve")
+            if not np.isfinite(pts).all():
+                raise CurveFileError(f"{self.detector}: non-finite {name} point")
             powers = [p for p, _ in pts]
             if sorted(powers) != powers or len(set(powers)) != len(powers):
                 raise CurveFileError(f"{self.detector}: {name} curve not sorted by P_B")
@@ -104,8 +84,8 @@ class DetectorResponseCurve:
                 raise CurveFileError(
                     f"{self.detector}: E_never > E_always at P_B={pb} mW"
                 )
-        if not self.time_window[0] < self.time_window[1]:
-            raise CurveFileError(f"{self.detector}: empty time window {self.time_window}")
+        if not (np.isfinite(self.time_window).all() and self.time_window[0] < self.time_window[1]):
+            raise CurveFileError(f"{self.detector}: empty or non-finite window {self.time_window}")
 
     def power_range(self) -> tuple[float, float]:
         """Blinding-power interval covered by both curves."""
@@ -114,72 +94,169 @@ class DetectorResponseCurve:
             min(self.never_points[-1][0], self.always_points[-1][0]),
         )
 
-    def _interp(self, points: tuple[tuple[float, float], ...], p_b: float) -> float:
+    def _interp(self, points: tuple[tuple[float, float], ...], p_b):
         lo, hi = self.power_range()
-        if not (lo <= p_b <= hi):
+        p_b = np.asarray(p_b, dtype=float)
+        if not ((lo <= p_b) & (p_b <= hi)).all():
             raise ValidationError(
                 f"{self.detector}: P_B={p_b} mW outside covered range [{lo}, {hi}]"
             )
         xs, ys = zip(*points)
-        return float(np.interp(p_b, xs, ys))
+        return _scalar_or_array(np.interp(p_b, xs, ys))
 
-    def e_never(self, p_b: float) -> float:
+    def e_never(self, p_b):
         return self._interp(self.never_points, p_b)
 
-    def e_always(self, p_b: float) -> float:
+    def e_always(self, p_b):
         return self._interp(self.always_points, p_b)
 
 
-def blinded_click_probability(curve: DetectorResponseCurve, p_b: float, e_t: float) -> float:
+def _scalar_or_array(values):
+    """A Python float for a 0-d result, the array otherwise."""
+    values = np.asarray(values)
+    return float(values) if values.ndim == 0 else values
+
+
+def blinded_click_probability(curve: DetectorResponseCurve, p_b, e_t):
     """Click probability of a blinded detector for trigger energy ``e_t`` at power ``p_b``.
 
-    Sure-click takes precedence on a degenerate curve (E_never == E_always),
-    which makes the degenerate case behave exactly like ``threshold_click``.
+    ``p_b`` and ``e_t`` broadcast against each other; scalar input gives a
+    Python float.  Sure-click takes precedence on a degenerate curve
+    (E_never == E_always), which makes the degenerate case an inclusive sharp
+    threshold, exactly like ``ThresholdModel``.
     """
-    if e_t < 0:
+    e_t = np.asarray(e_t, dtype=float)
+    if (e_t < 0).any():
         raise ValidationError(f"trigger energy {e_t} < 0")
     e_always = curve.e_always(p_b)
     e_never = curve.e_never(p_b)
-    if e_t >= e_always:
-        return 1.0
-    if e_t <= e_never:
-        return 0.0
-    return (e_t - e_never) / (e_always - e_never)
+    span = e_always - e_never  # the ramp is only read where span > 0
+    ramp = (e_t - e_never) / np.where(span > 0.0, span, 1.0)
+    return _scalar_or_array(np.where(e_t >= e_always, 1.0, np.where(e_t <= e_never, 0.0, ramp)))
 
 
-def temporal_click(
-    curve: DetectorResponseCurve,
-    pulse: TriggerPulse,
-    p_b: float,
-    rng: np.random.Generator | None = None,
-) -> bool:
-    """Click decision with the detector's response window applied.
+def temporal_click_probability(curve: DetectorResponseCurve, p_b, e_t, arrival_time):
+    """Window-gated click probability: 0 outside the response window.
 
-    Outside ``time_window`` the probability is 0 whatever the energy.  An RNG
-    is only consulted when the blinded click probability is strictly between
-    0 and 1; all attack operating points sit in the deterministic regime.
+    The arguments broadcast against each other; the blinded curve is only
+    consulted for pulses arriving inside the window.
     """
+    p_b, e_t, arrival_time = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (p_b, e_t, arrival_time))
+    )
     t0, t1 = curve.time_window
-    if not (t0 <= pulse.arrival_time <= t1):
-        return False
-    p = blinded_click_probability(curve, p_b, pulse.energy)
-    if p == 0.0:
-        return False
-    if p == 1.0:
-        return True
-    if rng is None:
-        raise ValidationError("click probability is fractional; an RNG is required")
-    return bool(rng.random() < p)
+    inside = (t0 <= arrival_time) & (arrival_time <= t1)
+    probs = np.zeros(inside.shape)
+    if inside.any():
+        probs[inside] = blinded_click_probability(curve, p_b[inside], e_t[inside])
+    return _scalar_or_array(probs)
 
 
-def temporal_click_probability(
-    curve: DetectorResponseCurve, pulse: TriggerPulse, p_b: float
-) -> float:
-    """Window-gated click probability (0 outside the response window)."""
-    t0, t1 = curve.time_window
-    if not (t0 <= pulse.arrival_time <= t1):
-        return 0.0
-    return blinded_click_probability(curve, p_b, pulse.energy)
+# --------------------------------------------------------------------------
+# detector models
+
+
+@dataclass(frozen=True)
+class IdealDetectors:
+    """Honest receiver detectors: efficiency and dark counts, default ideal."""
+
+    efficiency: float = 1.0
+    dark_count_prob: float = 0.0
+
+    KIND = "ideal"
+    FIELDS = {"efficiency": float, "dark_count_prob": float}
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.efficiency <= 1.0):
+            raise ValidationError(f"efficiency {self.efficiency} outside [0, 1]")
+        if not (0.0 <= self.dark_count_prob < 1.0):
+            raise ValidationError(f"dark count probability {self.dark_count_prob} outside [0, 1)")
+
+
+@dataclass(frozen=True)
+class ThresholdModel:
+    """Blinded detectors in the sharp-threshold limit: click iff energy >= mu_th."""
+
+    mu_th: float
+
+    KIND = "threshold"
+    FIELDS = {"mu_th": float}
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.mu_th < math.inf:
+            raise ValidationError(f"mu_th {self.mu_th} must be finite and > 0")
+
+    def click_probs(self, energies: np.ndarray, pulses: Sequence) -> np.ndarray:
+        """Click probabilities over (Eve phase, Bob phase, port) mean photon numbers."""
+        return (energies >= self.mu_th).astype(float)
+
+
+def curve_source(source: str | None) -> tuple[DetectorResponseCurve, ...]:
+    """Curves from a CSV path, or the bundled fixture for ``"default"`` or None."""
+    return tuple(default_curves() if source in (None, "default") else load_curves(source))
+
+
+def _require_every_port(curves: Sequence[DetectorResponseCurve]) -> None:
+    missing = [d for d in DETECTOR_PORTS if d not in curve_map(curves)]
+    if missing:
+        raise ValidationError(f"curve set lacks detectors: {', '.join(missing)}")
+
+
+def _port_probs(curves, energies: np.ndarray, pulses: Sequence, click) -> np.ndarray:
+    """``click(curve, p_b, e_pj)`` per port over an (Eve phase, Bob phase,
+    port) table of mean photon numbers, at each pulse's blinding power."""
+    cmap = curve_map(curves)
+    p_b = np.array([pulse.p_b for pulse in pulses], dtype=float)[:, None]
+    e_pj = energies * PHOTON_ENERGY_PJ
+    return np.stack([click(cmap[d], p_b, e_pj[..., k]) for k, d in enumerate(DETECTOR_PORTS)], -1)
+
+
+@dataclass(frozen=True)
+class BlindedModel:
+    """Blinded detectors driven by measured response curves (power-domain)."""
+
+    curves: tuple[DetectorResponseCurve, ...] = field(default_factory=lambda: curve_source("default"))
+
+    KIND = "blinded"
+    FIELDS = {"curves": curve_source}
+
+    def __post_init__(self) -> None:
+        _require_every_port(self.curves)
+
+    def click_probs(self, energies: np.ndarray, pulses: Sequence) -> np.ndarray:
+        """Click probabilities over (Eve phase, Bob phase, port) mean photon numbers."""
+        return _port_probs(self.curves, energies, pulses, blinded_click_probability)
+
+
+@dataclass(frozen=True)
+class TemporalModel:
+    """Blinded detectors with their temporal response windows applied."""
+
+    curves: tuple[DetectorResponseCurve, ...] = field(default_factory=lambda: curve_source("default"))
+
+    KIND = "temporal"
+    FIELDS = {"curves": curve_source}
+
+    def __post_init__(self) -> None:
+        _require_every_port(self.curves)
+
+    def click_probs(self, energies: np.ndarray, pulses: Sequence) -> np.ndarray:
+        """Like :meth:`BlindedModel.click_probs`, gated by each pulse's arrival time."""
+        arrival = np.array([pulse.arrival_time for pulse in pulses], dtype=float)[:, None]
+        return _port_probs(
+            self.curves, energies, pulses,
+            lambda curve, p_b, e_pj: temporal_click_probability(curve, p_b, e_pj, arrival),
+        )
+
+
+DetectorModel = IdealDetectors | ThresholdModel | BlindedModel | TemporalModel
+
+#: Detector models by their JSON ``model`` name.
+MODELS = {cls.KIND: cls for cls in (IdealDetectors, ThresholdModel, BlindedModel, TemporalModel)}
+
+
+# --------------------------------------------------------------------------
+# curve files
 
 
 def _parse_rows(rows: Iterable[Sequence[str]], source: str) -> list[DetectorResponseCurve]:

@@ -42,33 +42,14 @@ the same seed report different, equally valid samples.  Identical configs
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import (
-    BASES,
-    AsymmetricThreshold,
-    EvePulse,
-    EveStrategy,
-    FeasibilityError,
-    PhaseDeviation,
-    SingleDetectorBlinding,
-    TimeShift,
-    WavelengthBS,
-    forge_pulse,
-    phase_index,
-    plan_time_shift,
-)
-from .detectors import (
-    DetectorResponseCurve,
-    TriggerPulse,
-    blinded_click_probability,
-    curve_map,
-    default_curves,
-    temporal_click_probability,
-)
-from .optics import DETECTOR_PORTS, ValidationError, single_photon_probabilities
+from .attacks import BASES, EvePulse, EveStrategy, FeasibilityError, forge_pulse, phase_index
+from .detectors import DetectorModel, IdealDetectors
+from .optics import ValidationError, single_photon_probabilities
 from .receiver import (
     BB84_PHASES,
     BellOutcome,
@@ -76,52 +57,6 @@ from .receiver import (
     ReceiverConfig,
     general_port_amplitudes,
 )
-
-
-# --------------------------------------------------------------------------
-# detector models
-
-
-@dataclass(frozen=True)
-class IdealDetectors:
-    """Honest receiver detectors: efficiency and dark counts, default ideal."""
-
-    efficiency: float = 1.0
-    dark_count_prob: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.efficiency <= 1.0):
-            raise ValidationError(f"efficiency {self.efficiency} outside [0, 1]")
-        if not (0.0 <= self.dark_count_prob < 1.0):
-            raise ValidationError(f"dark count probability {self.dark_count_prob} outside [0, 1)")
-
-
-@dataclass(frozen=True)
-class ThresholdModel:
-    """Blinded detectors in the sharp-threshold limit: click iff energy >= mu_th."""
-
-    mu_th: float
-
-    def __post_init__(self) -> None:
-        if not self.mu_th > 0:
-            raise ValidationError(f"mu_th {self.mu_th} must be > 0")
-
-
-@dataclass(frozen=True)
-class BlindedModel:
-    """Blinded detectors driven by measured response curves (power-domain)."""
-
-    curves: tuple[DetectorResponseCurve, ...]
-
-
-@dataclass(frozen=True)
-class TemporalModel:
-    """Blinded detectors with their temporal response windows applied."""
-
-    curves: tuple[DetectorResponseCurve, ...]
-
-
-DetectorModel = IdealDetectors | ThresholdModel | BlindedModel | TemporalModel
 
 
 @dataclass(frozen=True)
@@ -138,8 +73,14 @@ class SessionConfig:
     attack: EveStrategy | None = None
 
     def __post_init__(self) -> None:
-        if self.n_slots < 1:
-            raise ValidationError("n_slots must be >= 1")
+        for name in ("n_slots", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if not 1 <= self.n_slots < 2**63:  # the samplers count slots in int64
+            raise ValidationError(f"n_slots must be in [1, 2**63), got {self.n_slots}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.channel_transmittance <= 1.0):
             raise ValidationError(
                 f"channel transmittance {self.channel_transmittance} outside (0, 1]"
@@ -318,105 +259,39 @@ def _stats(weights: np.ndarray, n_slots: int | None, attacked: bool) -> SessionS
 # model resolution and click-probability tables
 
 
-def _auto_model(attack: EveStrategy | None) -> DetectorModel:
-    if attack is None:
-        return IdealDetectors()
-    if isinstance(attack, (SingleDetectorBlinding, PhaseDeviation, WavelengthBS)):
-        return ThresholdModel(attack.mu_th)
-    if isinstance(attack, AsymmetricThreshold):
-        return BlindedModel(tuple(default_curves()))
-    if isinstance(attack, TimeShift):
-        return TemporalModel(tuple(default_curves()))
-    raise ValidationError(f"unknown attack {attack!r}")
-
-
 def _resolve(cfg: SessionConfig) -> SessionConfig:
-    """Fill in derived defaults and check model/attack consistency."""
-    model = cfg.detectors if cfg.detectors is not None else _auto_model(cfg.attack)
-    attack = cfg.attack
-    if attack is None:
-        if not isinstance(model, IdealDetectors):
-            raise ValidationError("honest sessions use IdealDetectors")
-    elif isinstance(attack, (SingleDetectorBlinding, PhaseDeviation, WavelengthBS)):
-        if not isinstance(model, ThresholdModel):
-            raise ValidationError(f"{type(attack).__name__} needs a ThresholdModel")
-        if model.mu_th != attack.mu_th:
-            raise ValidationError(
-                f"model mu_th {model.mu_th} disagrees with strategy mu_th {attack.mu_th}"
-            )
-    elif isinstance(attack, AsymmetricThreshold):
-        if not isinstance(model, BlindedModel):
-            raise ValidationError("AsymmetricThreshold needs a BlindedModel")
-    elif isinstance(attack, TimeShift):
-        if not isinstance(model, TemporalModel):
-            raise ValidationError("TimeShift needs a TemporalModel")
-        if attack.targets is None:
-            planned = plan_time_shift(model.curves, p_b=attack.p_b, e_t=attack.e_t)
-            attack = dataclasses.replace(attack, targets=planned.targets)
+    """Fill in the derived detector model and the strategy's resolved form."""
+    attack, model = cfg.attack, cfg.detectors
+    if model is None:
+        model = IdealDetectors() if attack is None else attack.default_model()
+    needed = IdealDetectors if attack is None else attack.MODEL
+    if not isinstance(model, needed):
+        who = "honest sessions" if attack is None else type(attack).__name__
+        raise ValidationError(f"{who} need a {needed.__name__}, got {type(model).__name__}")
+    if attack is not None:
+        attack = attack.resolve(model)
     return dataclasses.replace(cfg, detectors=model, attack=attack)
 
 
-def _model_curves(model: BlindedModel | TemporalModel) -> dict[str, DetectorResponseCurve]:
-    cmap = curve_map(model.curves)
-    missing = [d for d in DETECTOR_PORTS if d not in cmap]
-    if missing:
-        raise ValidationError(f"curve set lacks detectors: {', '.join(missing)}")
-    return cmap
-
-
-def _pulse_energies(cfg: SessionConfig, pulse: EvePulse, phi_b_nominal: float) -> np.ndarray:
-    """Mean photon number per detector port for one forged pulse."""
-    rc = cfg.receiver
-    t1, t2 = pulse.splitting if pulse.splitting is not None else (rc.t1, rc.t2)
-    amps = general_port_amplitudes(
-        pulse.mu, pulse.phi_e, pulse.gamma, t1, t2, phi_b_nominal + rc.phi_b
-    )
-    return np.abs(amps) ** 2
-
-
-def _attacked_tables(cfg: SessionConfig) -> tuple[np.ndarray, np.ndarray, list[EvePulse]]:
+def _pulse_tables(cfg: SessionConfig) -> tuple[np.ndarray, np.ndarray, list[EvePulse]]:
     """Energy and click-probability tables over (eve index, bob index, detector).
 
     Both tables are indexed by the nominal measured/chosen phases; strategy
-    deviations enter through :func:`forge_pulse`.
+    deviations enter through :func:`forge_pulse`, and the detector model
+    scores the whole energy table at once.
     """
-    attack, model = cfg.attack, cfg.detectors
-    active = np.asarray(cfg.receiver.active_detectors, dtype=float)
-    energies = np.zeros((4, 4, 4))
-    probs = np.zeros((4, 4, 4))
-    pulses = []
-    cmap = _model_curves(model) if isinstance(model, (BlindedModel, TemporalModel)) else None
-    for ei in range(4):
-        pulse = forge_pulse(attack, BB84_PHASES[ei])
-        pulses.append(pulse)
-        for bj in range(4):
-            e = _pulse_energies(cfg, pulse, BB84_PHASES[bj])
-            energies[ei, bj] = e
-            if isinstance(model, ThresholdModel):
-                p = (e >= model.mu_th).astype(float)
-            elif isinstance(model, BlindedModel):
-                p_b, _ = attack.operating_point(BASES[ei % 2])
-                e_pj = e * attack.photon_energy_pj
-                p = np.array(
-                    [
-                        blinded_click_probability(cmap[d], p_b, e_pj[k])
-                        for k, d in enumerate(DETECTOR_PORTS)
-                    ]
-                )
-            elif isinstance(model, TemporalModel):
-                e_pj = e * attack.photon_energy_pj
-                p = np.array(
-                    [
-                        temporal_click_probability(
-                            cmap[d], TriggerPulse(e_pj[k], pulse.arrival_time), attack.p_b
-                        )
-                        for k, d in enumerate(DETECTOR_PORTS)
-                    ]
-                )
-            else:
-                raise ValidationError("attacked sessions need a bright-light detector model")
-            probs[ei, bj] = p * active
-    return energies, probs, pulses
+    rc = cfg.receiver
+    pulses = [forge_pulse(cfg.attack, phi_e) for phi_e in BB84_PHASES]
+    amps = []
+    for pulse in pulses:
+        t1, t2 = pulse.splitting or (rc.t1, rc.t2)
+        amps += [
+            general_port_amplitudes(pulse.mu, pulse.phi_e, pulse.gamma, t1, t2, phi_b + rc.phi_b)
+            for phi_b in BB84_PHASES
+        ]
+    energies = (np.abs(amps) ** 2).reshape(4, 4, 4)
+    active = np.asarray(rc.active_detectors, dtype=float)
+    return energies, cfg.detectors.click_probs(energies, pulses) * active, pulses
 
 
 def _honest_table(cfg: SessionConfig) -> np.ndarray:
@@ -440,16 +315,17 @@ def _honest_table(cfg: SessionConfig) -> np.ndarray:
 
 
 def _check_feasible(attack: EveStrategy, probs: np.ndarray) -> None:
+    if not np.isfinite(probs).all():
+        raise ValidationError("the attack gives a non-finite click probability")
     if ((probs > 0.0) & (probs < 1.0)).any():
         raise FeasibilityError("operating point falls in the detectors' probabilistic region")
-    strict = isinstance(attack, (PhaseDeviation, WavelengthBS, AsymmetricThreshold))
     for (ei, bj), n in np.ndenumerate(probs.sum(axis=2)):
         matched = ei % 2 == bj % 2
         if not matched and n > 0:
             raise FeasibilityError("clicks in basis-mismatched slots would cause key errors")
         if matched and n > 1:
             raise FeasibilityError("double clicks in basis-matched slots")
-        if matched and strict and n != 1:
+        if matched and attack.MUST_CLICK and n != 1:
             raise FeasibilityError(f"{type(attack).__name__} must click in every matched slot")
 
 
@@ -507,7 +383,7 @@ def _compile(cfg: SessionConfig) -> _Compiled:
         diagonal = np.arange(4)
         weights[diagonal, diagonal] = (landing @ by_landing) / 16.0
         return _Compiled(cfg, table, None, None, weights.ravel())
-    energies, probs, pulses = _attacked_tables(cfg)
+    energies, probs, pulses = _pulse_tables(cfg)
     _check_feasible(cfg.attack, probs)
     weights = (_EVE_BRANCH / 16.0)[:, :, None, None] * _pattern_probs(probs)
     return _Compiled(cfg, energies, probs, pulses, weights.ravel())

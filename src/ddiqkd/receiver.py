@@ -44,6 +44,34 @@ from .optics import (
 BB84_PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 
 
+
+def parse_angle(text: str | float) -> float:
+    """Radians from a float or a pi-fraction string: ``0.5pi``, ``pi/36``, ``-3pi/2``.
+
+    NaN and infinities are rejected.
+    """
+    try:
+        if isinstance(text, (int, float)):
+            value = float(text)
+        else:
+            s = text.strip().lower().replace(" ", "")
+            if "pi" in s:
+                head, _, tail = s.partition("pi")
+                num = float(head) if head not in ("", "+", "-") else float(head + "1")
+                den = 1.0
+                if tail:
+                    if not tail.startswith("/"):
+                        raise ValueError(tail)
+                    den = float(tail[1:])
+                value = num * math.pi / den
+            else:
+                value = float(s)
+    except (AttributeError, ValueError, ZeroDivisionError):
+        raise ValidationError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"angle {text!r} is not finite")
+    return value
+
 class BellOutcome(enum.Enum):
     PSI_PLUS = "psi_plus"
     PHI_PLUS = "phi_plus"

@@ -10,14 +10,11 @@ from ddiqkd.attacks import (
     SingleDetectorBlinding,
     TimeShift,
     WavelengthBS,
-    basis_phases,
-    eve_measure,
     expected_click_pair,
     feasible_mu_window,
     forge_pulse,
     orthogonal_click_pair,
     phase_basis,
-    phase_bit,
     phase_deviation_energies,
     phase_index,
     plan_asymmetric_threshold,
@@ -30,8 +27,10 @@ from ddiqkd.detectors import (
     blinded_click_probability,
     curve_map,
     default_curves,
+    load_curves,
 )
 from ddiqkd.optics import ValidationError
+from ddiqkd.protocol import _EVE_BRANCH
 from ddiqkd.receiver import BB84_PHASES, balanced_port_amplitudes
 
 PI = math.pi
@@ -40,7 +39,6 @@ PI = math.pi
 class TestPhaseHelpers:
     def test_index_and_bit(self):
         assert [phase_index(p) for p in BB84_PHASES] == [0, 1, 2, 3]
-        assert [phase_bit(p) for p in BB84_PHASES] == [0, 0, 1, 1]
         assert [phase_basis(p) for p in BB84_PHASES] == ["Z", "X", "Z", "X"]
         assert phase_index(2 * PI) == 0
         assert phase_index(-PI / 2) == 3
@@ -49,34 +47,22 @@ class TestPhaseHelpers:
         with pytest.raises(ValidationError):
             phase_index(0.3)
 
-    def test_basis_phases(self):
-        assert basis_phases("Z") == (0.0, PI)
-        assert basis_phases("X") == (PI / 2, 1.5 * PI)
-        with pytest.raises(ValidationError):
-            basis_phases("Y")
 
 
 class TestEveMeasure:
+    """Eve's BB84 measurement, as the outcome tensor's (sender, branch) law."""
+
     def test_eigenstate_is_deterministic(self):
-        rng = np.random.default_rng(0)
-        assert all(eve_measure(0.0, "Z", rng) == 0.0 for _ in range(50))
-        assert all(eve_measure(PI, "Z", rng) == PI for _ in range(50))
-        assert all(eve_measure(1.5 * PI, "X", rng) == 1.5 * PI for _ in range(50))
+        # in the sender's basis (chosen with probability 1/2) Eve reads the
+        # sender's phase and never its basis partner
+        for t in range(4):
+            assert _EVE_BRANCH[t, t] == 0.5
+            assert _EVE_BRANCH[t, (t + 2) % 4] == 0.0
 
     def test_conjugate_basis_is_unbiased(self):
-        rng = np.random.default_rng(1)
-        n = 100_000
-        outcomes = np.array([eve_measure(0.0, "X", rng) for _ in range(n)])
-        assert set(np.unique(outcomes)) == {PI / 2, 1.5 * PI}
-        frac = np.mean(outcomes == PI / 2)
-        assert abs(frac - 0.5) < 0.01
-
-    def test_invalid_inputs(self):
-        rng = np.random.default_rng(2)
-        with pytest.raises(ValidationError):
-            eve_measure(0.1, "Z", rng)
-        with pytest.raises(ValidationError):
-            eve_measure(0.0, "Q", rng)
+        for t in range(4):
+            assert _EVE_BRANCH[t, (t + 1) % 4] == _EVE_BRANCH[t, (t + 3) % 4] == 0.25
+        assert np.array_equal(_EVE_BRANCH.sum(axis=1), np.ones(4))
 
 
 class TestForgePulse:
@@ -201,6 +187,11 @@ class TestClickPairs:
         assert orthogonal_click_pair("Z") == ("D3", "D4")
         assert orthogonal_click_pair("X") == ("D2", "D3")
 
+    def test_unknown_basis_rejected(self):
+        for pair in (expected_click_pair, orthogonal_click_pair):
+            with pytest.raises(ValidationError):
+                pair("Q")
+
 
 class TestSelectOperatingPoint:
     def test_first_detector_over_second(self):
@@ -248,11 +239,82 @@ class TestSelectOperatingPoint:
             select_operating_point(default_curves(), [("D1", "D9")])
 
 
+def scalar_operating_point(cmap, constraints, step=0.005):
+    """Oracle: the point-by-point (P_B, E_T) grid search, one scalar click
+    evaluation at a time, keeping the first strictly larger margin."""
+    involved = {cmap[d].detector: cmap[d] for pair in constraints for d in pair}.values()
+    pb_lo = max(c.power_range()[0] for c in involved)
+    pb_hi = min(c.power_range()[1] for c in involved)
+    if pb_lo > pb_hi:
+        return None
+    et_hi = max(y for c in involved for _, y in c.always_points) + step
+
+    def grid(lo, hi):
+        pts = lo + step * np.arange(int((hi - lo) / step + 1e-9) + 1)
+        return pts if pts[-1] >= hi - 1e-12 else np.append(pts, hi)
+
+    best, best_margin = None, -np.inf
+    for pb in grid(pb_lo, pb_hi):
+        for et in grid(0.0, et_hi):
+            margin, ok = np.inf, True
+            for i, j in constraints:
+                if blinded_click_probability(cmap[i], pb, et) != 1.0:
+                    ok = False
+                    break
+                if blinded_click_probability(cmap[j], pb, et) != 0.0:
+                    ok = False
+                    break
+                margin = min(margin, et - cmap[i].e_always(pb), cmap[j].e_never(pb) - et)
+            if ok and margin > best_margin:
+                best_margin, best = margin, (float(pb), float(et))
+    return best
+
+
+PORTS = ("D1", "D2", "D3", "D4")
+SINGLE_CONSTRAINTS = [[(i, j)] for i in PORTS for j in PORTS if i != j]
+PAIRED_CONSTRAINTS = [
+    [("D1", "D2"), ("D3", "D4")],
+    [("D2", "D1"), ("D4", "D3")],
+    [("D1", "D4"), ("D3", "D2")],
+    [("D4", "D1"), ("D2", "D3")],
+]
+
+
+class TestSelectOperatingPointOracle:
+    @pytest.mark.parametrize(
+        "constraints",
+        SINGLE_CONSTRAINTS + PAIRED_CONSTRAINTS,
+        ids=lambda c: ",".join(f"{i}>{j}" for i, j in c),
+    )
+    def test_array_search_returns_the_scalar_point(self, constraints):
+        cmap = curve_map(default_curves())
+        assert select_operating_point(cmap, constraints) == scalar_operating_point(
+            cmap, constraints
+        )
+
+    def test_both_searches_find_nothing_on_identical_curves(self, tmp_path):
+        lines = ["detector,kind,P_B_mW,E_pJ"]
+        for det in ("D1", "D2"):
+            lines += [
+                f"{det},never,0.1,0.10",
+                f"{det},never,0.6,0.10",
+                f"{det},always,0.1,0.20",
+                f"{det},always,0.6,0.20",
+                f"{det},window,0.0,1.0",
+            ]
+        path = tmp_path / "same.csv"
+        path.write_text("\n".join(lines) + "\n")
+        cmap = curve_map(load_curves(path))
+        assert scalar_operating_point(cmap, [("D1", "D2")]) is None
+        assert select_operating_point(cmap, [("D1", "D2")]) is None
+
+
 class TestPlanners:
     def test_asymmetric_plan_is_static_and_clean(self):
         plan = plan_asymmetric_threshold(default_curves())
         assert plan is not None
         assert plan.schedule is None
+        assert (plan.p_b, plan.e_t) == (0.56, 0.19)
         cmap = curve_map(default_curves())
         clicked = {
             d for d in cmap if blinded_click_probability(cmap[d], plan.p_b, plan.e_t) == 1.0

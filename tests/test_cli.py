@@ -194,6 +194,161 @@ class TestSession:
         assert code == 3
 
 
+def write_config(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
+    return str(path)
+
+
+SDB = {
+    "n_slots": 100,
+    "receiver": {"active_detectors": [True, False, False, False]},
+    "attack": {"type": "single_detector_blinding", "mu": 1.0, "mu_th": 0.75},
+}
+
+
+def with_changes(base, *path_and_value):
+    """A deep copy of ``base`` with ``value`` stored under the key path."""
+    cfg = json.loads(json.dumps(base))
+    *path, key, value = path_and_value
+    node = cfg
+    for part in path:
+        node = node.setdefault(part, {})
+    node[key] = value
+    return cfg
+
+
+class TestConfigRejection:
+    """Inputs the simulator cannot give a meaning to exit 3, never 0."""
+
+    def expect_config_error(self, capsys, argv, fragment=""):
+        code, out = run_cli(argv, capsys)
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["kind"] == "config"
+        assert fragment in error["message"]
+
+    def test_negative_seed_flag(self, capsys):
+        path = str(CONFIGS / "honest_ideal.json")
+        self.expect_config_error(capsys, ["--seed", "-1", "session", "--config", path], "seed")
+
+    def test_negative_seed_in_config(self, capsys, tmp_path):
+        path = write_config(tmp_path, with_changes(SDB, "seed", -1))
+        self.expect_config_error(capsys, ["session", "--config", path], "seed")
+
+    def test_non_integral_seed_in_config(self, capsys, tmp_path):
+        path = write_config(tmp_path, with_changes(SDB, "seed", 1.5))
+        self.expect_config_error(capsys, ["session", "--config", path], "seed")
+
+    @pytest.mark.parametrize(
+        "changes, key",
+        [
+            (("channel_transmitance", 0.1), "channel_transmitance"),
+            (("receiver", "t3", 0.5), "t3"),
+            (("attack", "mu_thr", 0.75), "mu_thr"),
+            (("detectors", {"model": "threshold", "mu_th": 0.75, "mu": 1.0}), "mu"),
+        ],
+        ids=["top", "receiver", "attack", "detectors"],
+    )
+    def test_unknown_key_is_named(self, capsys, tmp_path, changes, key):
+        path = write_config(tmp_path, with_changes(SDB, *changes))
+        self.expect_config_error(capsys, ["session", "--config", path], f"unknown key {key!r}")
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_constants(self, capsys, tmp_path, constant):
+        text = json.dumps(SDB).replace('"mu": 1.0', f'"mu": {constant}')
+        self.expect_config_error(capsys, ["session", "--config", write_config(tmp_path, text)],
+                                 constant)
+
+    def test_string_boolean_detector_flag(self, capsys, tmp_path):
+        cfg = with_changes(SDB, "receiver", "active_detectors", [True, "false", "false", "false"])
+        path = write_config(tmp_path, cfg)
+        self.expect_config_error(capsys, ["session", "--config", path], "booleans")
+
+    def test_non_integral_slot_count(self, capsys, tmp_path):
+        path = write_config(tmp_path, with_changes(SDB, "n_slots", 1000.7))
+        self.expect_config_error(capsys, ["session", "--config", path], "n_slots")
+
+    def test_slot_count_beyond_int64(self, capsys, tmp_path):
+        path = write_config(tmp_path, with_changes(SDB, "n_slots", 2**63))
+        self.expect_config_error(capsys, ["session", "--config", path], "n_slots")
+
+    def test_integral_float_slot_count_is_accepted(self, capsys, tmp_path):
+        path = write_config(tmp_path, with_changes(SDB, "n_slots", 100.0))
+        code, out = run_cli(["session", "--config", path], capsys)
+        assert code == 0 and json.loads(out)["n_slots"] == 100
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            ("attack", "mu", "1e400"),
+            ("attack", "mu_th", -0.5),
+            ("detectors", {"model": "threshold", "mu_th": "inf"}),
+            ("detectors", {"model": "ideal", "efficiency": "nan"}),
+            ("receiver", "phi_b", "nan"),
+        ],
+        ids=["strategy-inf", "strategy-negative", "model-inf", "model-nan", "angle-nan"],
+    )
+    def test_out_of_range_values(self, capsys, tmp_path, changes):
+        cfg = with_changes(SDB, *changes)
+        if changes[0] == "detectors" and changes[1]["model"] == "ideal":
+            del cfg["attack"]
+        self.expect_config_error(capsys, ["session", "--config", write_config(tmp_path, cfg)])
+
+    @pytest.mark.parametrize(
+        "attack",
+        [
+            {"type": "asymmetric_threshold", "p_b": 0.56, "e_t": 0.19, "schedule": {"Y": [0.2, 0.1]}},
+            {"type": "time_shift", "p_b": 0.32, "e_t": 0.125, "targets": {"Z": ["D9", 1.0]}},
+            {"type": "time_shift", "p_b": 0.32, "e_t": 0.125, "targets": {"Z": "D1"}},
+            {"type": "wavelength_bs", "gamma": 0.2, "t1": 1.5, "t2": 0.46, "mu": 1.0, "mu_th": 0.89},
+        ],
+        ids=["schedule-basis", "target-detector", "target-shape", "splitting"],
+    )
+    def test_bad_strategy_fields(self, capsys, tmp_path, attack):
+        path = write_config(tmp_path, {"n_slots": 10, "attack": attack})
+        self.expect_config_error(capsys, ["session", "--config", path])
+
+    def test_non_finite_click_probability(self, capsys, tmp_path, monkeypatch):
+        from ddiqkd.detectors import ThresholdModel
+
+        monkeypatch.setattr(
+            ThresholdModel, "click_probs", lambda self, energies, pulses: energies * np.nan
+        )
+        path = write_config(tmp_path, SDB)
+        self.expect_config_error(capsys, ["session", "--config", path], "non-finite")
+
+    def test_config_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{}")
+        self.expect_config_error(capsys, ["session", "--config", str(path)], "not valid JSON")
+
+    def test_config_not_an_object(self, capsys, tmp_path):
+        path = write_config(tmp_path, "[1, 2]")
+        self.expect_config_error(capsys, ["session", "--config", path], "JSON object")
+
+    def test_missing_field_is_named(self, capsys, tmp_path):
+        cfg = with_changes(SDB, "attack", {"type": "single_detector_blinding", "mu": 1.0})
+        path = write_config(tmp_path, cfg)
+        self.expect_config_error(capsys, ["session", "--config", path], "'mu_th'")
+
+
+class TestUnwritableOutput:
+    def test_report_out(self, capsys):
+        path = str(CONFIGS / "honest_ideal.json")
+        code, out = run_cli(["--out", "/nonexistent/x.json", "session", "--config", path], capsys)
+        assert code == 3
+        assert json.loads(out)["error"]["kind"] == "config"
+
+    def test_trials_out(self, capsys, tmp_path):
+        path = write_config(tmp_path, SDB)
+        code, out = run_cli(
+            ["session", "--config", path, "--trials-out", "/nonexistent/t.csv"], capsys
+        )
+        assert code == 3
+        assert "cannot write output" in json.loads(out)["error"]["message"]
+
+
 class TestOpsearch:
     def test_finds_low_power_point(self, capsys):
         code, out = run_cli(["opsearch", "--constraints", "D1>D2"], capsys)

@@ -1,18 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from ddiqkd.detectors import (
+    BlindedModel,
     CurveFileError,
     DetectorResponseCurve,
-    ThresholdDetector,
-    TriggerPulse,
+    TemporalModel,
+    ThresholdModel,
     blinded_click_probability,
     curve_map,
     default_curves,
     load_curves,
-    temporal_click,
     temporal_click_probability,
-    threshold_click,
 )
 from ddiqkd.optics import ValidationError
 
@@ -22,29 +23,44 @@ def curves():
     return curve_map(default_curves())
 
 
+def threshold_clicks(energy, mu_th):
+    """ThresholdModel's click probabilities for one energy (or array of them)."""
+    return ThresholdModel(mu_th).click_probs(np.asarray(energy, dtype=float), pulses=())
+
+
 class TestThresholdClick:
     def test_full_energy_clicks(self):
         mu = 1.0
-        det = ThresholdDetector(mu_th=0.75 * mu)
-        assert threshold_click(mu, det)
+        assert threshold_clicks(mu, 0.75 * mu) == 1.0
 
     def test_half_energy_silent(self):
         mu = 1.0
-        det = ThresholdDetector(mu_th=0.75 * mu)
-        assert not threshold_click(mu / 2, det)
+        assert threshold_clicks(mu / 2, 0.75 * mu) == 0.0
 
     def test_zero_energy_never_clicks(self):
         for mu_th in (1e-9, 0.5, 100.0):
-            assert not threshold_click(0.0, ThresholdDetector(mu_th))
+            assert threshold_clicks(0.0, mu_th) == 0.0
 
     def test_threshold_is_inclusive(self):
-        assert threshold_click(0.75, ThresholdDetector(0.75))
+        assert threshold_clicks(0.75, 0.75) == 1.0
 
     def test_validation(self):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                ThresholdModel(bad)
+
+    def test_scores_a_whole_table(self):
+        energies = np.array([[[0.0, 0.5, 0.75, 1.0]] * 4] * 4)
+        probs = ThresholdModel(0.75).click_probs(energies, pulses=())
+        assert probs.shape == (4, 4, 4)
+        assert np.array_equal(probs, np.broadcast_to([0.0, 0.0, 1.0, 1.0], (4, 4, 4)))
+
+
+def test_curve_models_need_every_port():
+    for model in (BlindedModel, TemporalModel):
+        assert len(model().curves) == 4  # the bundled fixture by default
         with pytest.raises(ValidationError):
-            ThresholdDetector(0.0)
-        with pytest.raises(ValidationError):
-            threshold_click(-1.0, ThresholdDetector(1.0))
+            model(tuple(default_curves()[:3]))
 
 
 class TestBlindedClickProbability:
@@ -87,9 +103,23 @@ class TestBlindedClickProbability:
             always_points=((0.1, mu_th), (0.5, mu_th)),
             time_window=(0.0, 1.0),
         )
-        det = ThresholdDetector(mu_th)
-        for e in (0.0, 0.1, 0.39, 0.4, 0.41, 1.0):
-            assert blinded_click_probability(curve, 0.3, e) == float(threshold_click(e, det))
+        energies = np.array([0.0, 0.1, 0.39, 0.4, 0.41, 1.0])
+        expected = threshold_clicks(energies, mu_th)
+        for e, want in zip(energies, expected):
+            assert blinded_click_probability(curve, 0.3, e) == want
+        assert np.array_equal(blinded_click_probability(curve, 0.3, energies), expected)
+
+    def test_arrays_match_scalars(self, curves):
+        curve = curves["D2"]
+        lo, hi = curve.power_range()
+        powers = np.linspace(lo, hi, 9)[:, None]
+        energies = np.linspace(0.0, 0.4, 41)
+        probs = blinded_click_probability(curve, powers, energies)
+        assert probs.shape == (9, 41)
+        assert 0.0 < probs.mean() < 1.0
+        for (k, j), p in np.ndenumerate(probs):
+            scalar = blinded_click_probability(curve, powers[k, 0], energies[j])
+            assert isinstance(scalar, float) and scalar == p
 
     def test_power_out_of_range(self, curves):
         with pytest.raises(ValidationError):
@@ -100,34 +130,37 @@ class TestBlindedClickProbability:
 
 class TestTemporalClick:
     def test_inside_own_window_only(self, curves):
-        pulse = TriggerPulse(energy=0.5, arrival_time=1.0)
-        assert temporal_click(curves["D1"], pulse, 0.32)
-        assert not temporal_click(curves["D2"], pulse, 0.32)
+        assert temporal_click_probability(curves["D1"], 0.32, 0.5, 1.0) == 1.0
+        assert temporal_click_probability(curves["D2"], 0.32, 0.5, 1.0) == 0.0
 
     def test_midpoint_with_sure_energy(self, curves):
         t0, t1 = curves["D1"].time_window
-        pulse = TriggerPulse(energy=curves["D1"].e_always(0.32), arrival_time=0.5 * (t0 + t1))
-        assert temporal_click(curves["D1"], pulse, 0.32)
+        energy = curves["D1"].e_always(0.32)
+        assert temporal_click_probability(curves["D1"], 0.32, energy, 0.5 * (t0 + t1)) == 1.0
 
     def test_after_window_end_never_clicks(self, curves):
         t_end = curves["D1"].time_window[1]
-        pulse = TriggerPulse(energy=100.0, arrival_time=t_end + 1.0)
-        assert not temporal_click(curves["D1"], pulse, 0.32)
-        assert temporal_click_probability(curves["D1"], pulse, 0.32) == 0.0
+        assert temporal_click_probability(curves["D1"], 0.32, 100.0, t_end + 1.0) == 0.0
 
-    def test_fractional_probability_needs_rng(self, curves):
+    def test_fractional_probability_in_window(self, curves):
         curve = curves["D1"]
         mid = 0.5 * (curve.e_never(0.2) + curve.e_always(0.2))
-        pulse = TriggerPulse(energy=mid, arrival_time=1.0)
-        with pytest.raises(ValidationError):
-            temporal_click(curve, pulse, 0.2)
-        rng = np.random.default_rng(0)
-        clicks = sum(temporal_click(curve, pulse, 0.2, rng) for _ in range(2000))
-        assert 800 < clicks < 1200  # p = 0.5
+        assert temporal_click_probability(curve, 0.2, mid, 1.0) == pytest.approx(0.5, abs=1e-12)
 
-    def test_negative_energy_rejected(self):
+    def test_negative_energy_rejected(self, curves):
         with pytest.raises(ValidationError):
-            TriggerPulse(energy=-0.1, arrival_time=0.0)
+            temporal_click_probability(curves["D1"], 0.32, -0.1, 1.0)
+
+    def test_arrays_match_scalars(self, curves):
+        curve = curves["D1"]
+        t0, t1 = curve.time_window
+        energies = np.linspace(0.0, 0.3, 7)
+        times = np.array([t0 - 1.0, t0, 0.5 * (t0 + t1), t1, t1 + 1.0])[:, None]
+        probs = temporal_click_probability(curve, 0.32, energies, times)
+        assert probs.shape == (5, 7)
+        for (k, j), p in np.ndenumerate(probs):
+            scalar = temporal_click_probability(curve, 0.32, energies[j], times[k, 0])
+            assert isinstance(scalar, float) and scalar == p
 
 
 class TestLoadCurves:
@@ -196,6 +229,14 @@ class TestLoadCurves:
         path.write_text("a,b,c,d\nD1,never,0.1,0.1\n")
         with pytest.raises(CurveFileError):
             load_curves(path)
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        rows = ["D1,never,0.1,nan", "D1,always,0.1,0.20", "D1,window,0.0,1.0"]
+        for bad in (rows, [rows[0].replace("nan", "0.1"), rows[1], "D1,window,0.0,inf"]):
+            path = tmp_path / "nonfinite.csv"
+            path.write_text("detector,kind,P_B_mW,E_pJ\n" + "\n".join(bad) + "\n")
+            with pytest.raises(CurveFileError):
+                load_curves(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CurveFileError):

@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 
 from ddiqkd.attacks import BASES
 from ddiqkd.cli import load_session_config
+from ddiqkd.detectors import IdealDetectors
 from ddiqkd.protocol import (
     KEY_CORRECTION,
-    IdealDetectors,
     SessionConfig,
     SessionStats,
-    _attacked_tables,
     _honest_table,
+    _pulse_tables,
     enumerate_exact,
     validate_attack,
 )
@@ -122,7 +122,7 @@ def brute_force_exact(cfg: SessionConfig) -> SessionStats:
                         acc.add(w_ab * p_land * w_dark, ti, bj, None, pattern)
         return acc.stats(attacked=False)
 
-    _, probs, _ = _attacked_tables(cfg)
+    _, probs, _ = _pulse_tables(cfg)
     for ti in range(4):
         for basis_idx in range(2):
             if ti % 2 == basis_idx:

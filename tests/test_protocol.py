@@ -16,15 +16,17 @@ from ddiqkd.attacks import (
     plan_asymmetric_threshold,
     plan_time_shift,
 )
-from ddiqkd.detectors import default_curves
+from ddiqkd.detectors import (
+    BlindedModel,
+    IdealDetectors,
+    TemporalModel,
+    ThresholdModel,
+    default_curves,
+)
 from ddiqkd.optics import ValidationError
 from ddiqkd.protocol import (
     KEY_CORRECTION,
-    BlindedModel,
-    IdealDetectors,
     SessionConfig,
-    TemporalModel,
-    ThresholdModel,
     breakeven_transmittance,
     derive_key_correction,
     enumerate_exact,
