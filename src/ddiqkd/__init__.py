@@ -47,7 +47,7 @@ from .protocol import (
     KEY_CORRECTION,
     SessionConfig,
     SessionStats,
-    TrialRecord,
+    Trials,
     breakeven_transmittance,
     derive_key_correction,
     enumerate_exact,

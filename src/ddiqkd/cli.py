@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -32,7 +33,14 @@ import numpy as np
 from .attacks import STRATEGIES, FeasibilityError, select_operating_point
 from .detectors import MODELS, CurveFileError, blinded_click_probability, curve_map, curve_source
 from .optics import ConfigurationError, ValidationError
-from .protocol import SessionConfig, breakeven_transmittance, enumerate_exact, run_session
+from .protocol import (
+    SLOT_BLOCK,
+    SessionConfig,
+    Trials,
+    breakeven_transmittance,
+    enumerate_exact,
+    run_session,
+)
 from .receiver import (
     BB84_PHASES,
     ReceiverConfig,
@@ -56,11 +64,35 @@ VERIFY_TOLERANCE = 1e-12
 REFERENCE_TRANSMITTANCE = 0.5
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} must be > 0")
+    return value
+
+
+def _unit_float(text: str) -> float:
+    value = _finite_float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is outside [0, 1]")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"{text!r} must be > 0")
     return value
@@ -197,7 +229,10 @@ def cmd_table1(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(args.trials):
         mu = rng.uniform(1e-6, 10.0)
@@ -237,36 +272,60 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+#: Columns of the ``--trials-out`` CSV.
+TRIALS_HEADER = ["slot", "theta_A", "phi_B", "phi_E", "E1", "E2", "E3", "E4",
+                 "outcome", "sifted", "a", "b", "e"]
+
+
+def _row_table(trials: Trials) -> dict[int, str]:
+    """CSV text of every field after ``slot``, for each cell that occurs.
+
+    Each distinct cell is formatted once by the same ``csv.writer`` a row at
+    a time would use, so the text, quoting and line ends are unchanged.
+    """
+    distinct = np.unique(trials.cells)
+    per_cell = dataclasses.replace(trials, cells=distinct)
+    missing = [None] * len(distinct)
+    columns = [
+        per_cell.theta_a.tolist(),
+        per_cell.phi_b.tolist(),
+        missing if per_cell.phi_e is None else per_cell.phi_e.tolist(),
+        *per_cell.energies.T.tolist(),
+        [outcome.value for outcome in per_cell.outcome],
+        per_cell.sifted.astype(int).tolist(),
+        *([None if bit < 0 else bit for bit in col.tolist()]
+          for col in (per_cell.alice_bit, per_cell.bob_bit, per_cell.eve_bit)),
+    ]
+    table = {}
+    line = io.StringIO()
+    writer = csv.writer(line)
+    for cell, fields in zip(distinct.tolist(), zip(*columns)):
+        line.seek(0)
+        line.truncate()
+        writer.writerow(fields)
+        table[cell] = line.getvalue()
+    return table
+
+
+def _write_trials(fh, trials: Trials) -> None:
+    """The per-slot CSV, one joined string and one write per slot block."""
+    csv.writer(fh).writerow(TRIALS_HEADER)
+    row = _row_table(trials)
+    for start in range(0, len(trials), SLOT_BLOCK):
+        block = trials.cells[start : start + SLOT_BLOCK].tolist()
+        fh.write("".join([f"{i},{row[c]}" for i, c in enumerate(block, start)]))
+
+
 def cmd_session(args) -> int:
     cfg = load_session_config(args.config, args.seed)
-    trials = None
     if args.trials_out:
-        mc_stats, trials = run_session(cfg, collect_trials=True)
+        # opened before any slot is sampled, so a bad path fails at once
+        with open(args.trials_out, "w", newline="") as fh:
+            mc_stats, trials = run_session(cfg, collect_trials=True)
+            _write_trials(fh, trials)
         stats = enumerate_exact(cfg) if args.exact else mc_stats
     else:
         stats = enumerate_exact(cfg) if args.exact else run_session(cfg)
-    if trials is not None:
-        with open(args.trials_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["slot", "theta_A", "phi_B", "phi_E", "E1", "E2", "E3", "E4",
-                 "outcome", "sifted", "a", "b", "e"]
-            )
-            for rec in trials:
-                writer.writerow(
-                    [
-                        rec.slot,
-                        rec.theta_a,
-                        rec.phi_b,
-                        "" if rec.eve is None else rec.eve[1],
-                        *rec.energies,
-                        rec.outcome.value,
-                        int(rec.sifted),
-                        "" if rec.alice_bit is None else rec.alice_bit,
-                        "" if rec.bob_bit is None else rec.bob_bit,
-                        "" if rec.eve_bit is None else rec.eve_bit,
-                    ]
-                )
     _emit_obj(args, stats.to_dict())
     return EXIT_OK
 
@@ -372,17 +431,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="closed forms versus network propagation")
     p.add_argument("check", choices=("eq1", "eq3"))
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", parents=[common],
                        help="normalized port energies versus the sender phase")
     p.add_argument("--phi-b", type=_angle_arg, default=0.5 * math.pi)
     p.add_argument("--delta-phi-b", type=_angle_arg, default=0.0)
-    p.add_argument("--t1", type=float, default=0.5)
-    p.add_argument("--t2", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--points", type=int, default=721)
+    p.add_argument("--t1", type=_unit_float, default=0.5)
+    p.add_argument("--t2", type=_unit_float, default=0.5)
+    p.add_argument("--gamma", type=_unit_float, default=0.5)
+    p.add_argument("--points", type=_positive_int, default=721)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("session", parents=[common],

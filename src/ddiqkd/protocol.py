@@ -142,7 +142,9 @@ TENSOR_SHAPE = (4, 4, 4, 16)
 #: Fired ports of each click pattern, (pattern, port).
 _PATTERN_PORTS = (np.arange(16)[:, None] >> np.arange(4)) & 1
 
-_OUTCOMES = tuple(OUTCOME_BY_DETECTOR) + (BellOutcome.NO_CLICK, BellOutcome.DOUBLE_CLICK)
+_OUTCOMES = np.array(
+    OUTCOME_BY_DETECTOR + (BellOutcome.NO_CLICK, BellOutcome.DOUBLE_CLICK), dtype=object
+)
 
 
 def _cell_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -169,6 +171,8 @@ def _cell_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 _CELL_OUTCOME, _CELL_SIFTED, _CELL_BITS, _INDICATORS = _cell_maps()
 
+_PHASES = np.array(BB84_PHASES)
+
 
 def sift_and_key(theta_a: float, phi_b: float, outcome: BellOutcome) -> tuple[int, int] | None:
     """Sift one single-click slot; (alice_bit, bob_bit) or None on basis mismatch.
@@ -187,23 +191,7 @@ def sift_and_key(theta_a: float, phi_b: float, outcome: BellOutcome) -> tuple[in
 
 
 # --------------------------------------------------------------------------
-# records and statistics
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One protocol slot, as recorded for per-trial export."""
-
-    slot: int
-    theta_a: float
-    phi_b: float
-    eve: tuple[str, float, EvePulse] | None  # (basis, measured phase, pulse)
-    energies: tuple[float, float, float, float]
-    outcome: BellOutcome
-    sifted: bool
-    alice_bit: int | None = None
-    bob_bit: int | None = None
-    eve_bit: int | None = None
+# statistics
 
 
 @dataclass(frozen=True)
@@ -413,7 +401,7 @@ def _slot_cells(comp: _Compiled) -> np.ndarray:
     """Cell index of every slot, sampled physically from the port tables."""
     cfg = comp.cfg
     n = cfg.n_slots
-    cells = np.empty(n, dtype=np.int64)
+    cells = np.empty(n, dtype=np.int16)
     active = np.asarray(cfg.receiver.active_detectors, dtype=bool)
     if cfg.attack is None:
         det: IdealDetectors = cfg.detectors
@@ -439,46 +427,90 @@ def _slot_cells(comp: _Compiled) -> np.ndarray:
     return cells
 
 
-def _records(comp: _Compiled, cells: np.ndarray) -> list[TrialRecord]:
-    attacked = comp.cfg.attack is not None
-    t, e, b, _ = np.unravel_index(cells, TENSOR_SHAPE)
-    eves = [None] * 4
-    if attacked:
-        eves = [(BASES[k % 2], BB84_PHASES[k], pulse) for k, pulse in enumerate(comp.pulses)]
-    columns = zip(
-        t.tolist(),
-        e.tolist(),
-        b.tolist(),
-        comp.ports[e, b].tolist(),
-        _CELL_OUTCOME[cells].tolist(),
-        _CELL_SIFTED[cells].tolist(),
-        *_CELL_BITS[:, cells].tolist(),
-    )
-    return [
-        TrialRecord(
-            slot=i,
-            theta_a=BB84_PHASES[ti],
-            phi_b=BB84_PHASES[bj],
-            eve=eves[ei],
-            energies=tuple(energies),
-            outcome=_OUTCOMES[outcome],
-            sifted=sifted,
-            alice_bit=alice if sifted else None,
-            bob_bit=bob if sifted else None,
-            eve_bit=eve if sifted and attacked else None,
-        )
-        for i, (ti, ei, bj, energies, outcome, sifted, alice, bob, eve) in enumerate(columns)
-    ]
+@dataclass(frozen=True)
+class Trials:
+    """The slots of a sampled session, stored as one outcome-tensor cell
+    index per slot (``int16``, 2 bytes a slot).
+
+    Every per-slot field is a function of the slot's cell, so each column is
+    a lookup of the per-cell maps and of the compiled port tables and pulses.
+    The same columns over other cell indices come from
+    ``dataclasses.replace(trials, cells=...)``; the export uses that to
+    format each distinct cell once.  Key bits read -1 where a slot is not
+    sifted, and Eve's columns are None in honest runs.
+    """
+
+    comp: _Compiled
+    cells: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def _axis(self, k: int) -> np.ndarray:
+        return np.unravel_index(self.cells, TENSOR_SHAPE)[k]
+
+    @property
+    def theta_a(self) -> np.ndarray:
+        return _PHASES[self._axis(0)]
+
+    @property
+    def phi_b(self) -> np.ndarray:
+        """Bob's nominal setting; the receiver's offset is not included."""
+        return _PHASES[self._axis(2)]
+
+    @property
+    def phi_e(self) -> np.ndarray | None:
+        """The phase Eve measured."""
+        return None if self.comp.pulses is None else _PHASES[self._axis(1)]
+
+    @property
+    def pulse(self) -> np.ndarray | None:
+        """The :class:`EvePulse` she resent, as an object array."""
+        if self.comp.pulses is None:
+            return None
+        return np.array(self.comp.pulses, dtype=object)[self._axis(1)]
+
+    @property
+    def energies(self) -> np.ndarray:
+        """(slot, port): mean photon numbers under attack, Born landing
+        probabilities honestly."""
+        return self.comp.ports[self._axis(1), self._axis(2)]
+
+    @property
+    def outcome(self) -> np.ndarray:
+        """The announced :class:`BellOutcome`, as an object array."""
+        return _OUTCOMES[_CELL_OUTCOME[self.cells]]
+
+    @property
+    def sifted(self) -> np.ndarray:
+        return _CELL_SIFTED[self.cells]
+
+    @property
+    def alice_bit(self) -> np.ndarray:
+        return self._bit(0)
+
+    @property
+    def bob_bit(self) -> np.ndarray:
+        return self._bit(1)
+
+    @property
+    def eve_bit(self) -> np.ndarray:
+        if self.comp.pulses is None:
+            return np.full(len(self), -1, dtype=np.int8)
+        return self._bit(2)
+
+    def _bit(self, k: int) -> np.ndarray:
+        return np.where(self.sifted, _CELL_BITS[k, self.cells], -1).astype(np.int8)
 
 
 def run_session(
     cfg: SessionConfig, collect_trials: bool = False
-) -> SessionStats | tuple[SessionStats, list[TrialRecord]]:
-    """Run one sampled session; optionally also return per-slot records.
+) -> SessionStats | tuple[SessionStats, Trials]:
+    """Run one sampled session; optionally also return its per-slot trials.
 
     Without trials the cell counts are one multinomial draw over the outcome
     tensor; with trials every slot is sampled physically and the report
-    counts the cells of those slots, so the records recount to the report.
+    counts the cells of those slots, so the trials recount to the report.
     """
     comp = _compile(cfg)
     n = comp.cfg.n_slots
@@ -486,7 +518,7 @@ def run_session(
     if collect_trials:
         cells = _slot_cells(comp)
         stats = _stats(np.bincount(cells, minlength=comp.weights.size), n, attacked)
-        return stats, _records(comp, cells)
+        return stats, Trials(comp, cells)
     # drawn over the support only: numpy gives any rounding remainder to the
     # last category, which must not be an impossible cell
     support = np.flatnonzero(comp.weights)

@@ -340,13 +340,59 @@ class TestUnwritableOutput:
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "config"
 
-    def test_trials_out(self, capsys, tmp_path):
+    def test_trials_out(self, capsys, tmp_path, monkeypatch):
+        from ddiqkd import protocol
+
+        def never(comp):
+            raise AssertionError("a slot was sampled before the output was opened")
+
+        monkeypatch.setattr(protocol, "_slot_cells", never)
         path = write_config(tmp_path, SDB)
         code, out = run_cli(
             ["session", "--config", path, "--trials-out", "/nonexistent/t.csv"], capsys
         )
         assert code == 3
-        assert "cannot write output" in json.loads(out)["error"]["message"]
+        error = json.loads(out)["error"]
+        assert error["kind"] == "config"
+        assert "cannot write output" in error["message"]
+
+
+class TestUsageRejection:
+    """Flag values with no meaning are usage errors (exit 2), never a report."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "eq1", "--trials", "0"],
+            ["verify", "eq1", "--trials", "-5"],
+            ["sweep", "--points", "-3"],
+            ["sweep", "--points", "0"],
+            ["table1", "--mu", "nan"],
+            ["table1", "--mu", "inf"],
+            ["sweep", "--t1", "nan"],
+            ["sweep", "--t2", "inf"],
+            ["sweep", "--gamma=-inf"],
+            ["sweep", "--t1", "1.5"],
+            ["sweep", "--gamma", "-0.1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "eq1", "--seed", "-1"], ["--seed", "-1", "verify", "eq3"]],
+        ids=["after", "before"],
+    )
+    def test_negative_verify_seed_exits_three(self, capsys, argv):
+        code, out = run_cli(argv, capsys)
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["kind"] == "config" and "seed" in error["message"]
 
 
 class TestOpsearch:
